@@ -19,8 +19,6 @@ the SOTA approaches.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.configspace import ConfigSpace
 from repro.core.result import TuneResult
 from repro.execmodel.interface import Executor
@@ -29,7 +27,7 @@ __all__ = ["BaseTuner"]
 
 
 class BaseTuner:
-    """Common scaffolding: sampling helpers, run bookkeeping, multi-size."""
+    """Common scaffolding: run bookkeeping, multi-size."""
 
     name = "base"
 
@@ -39,31 +37,8 @@ class BaseTuner:
         self.queries = queries  # None = full application; else the RQA
 
     # -- helpers ---------------------------------------------------------
-    def _sample(self, executor, rng) -> dict:
-        if hasattr(executor, "sample_feasible"):
-            return executor.sample_feasible(self.space, rng)
-        return self.space.sample_random(rng)
-
-    def _repair(self, executor, conf: dict) -> dict:
-        if hasattr(executor, "repair"):
-            return executor.repair(conf, self.space)
-        return conf
-
     def _run(self, executor: Executor, conf: dict, ds: float) -> float:
         return executor.run(conf, ds, self.queries).total
-
-    def _complete(self, conf: dict, executor) -> dict:
-        """Fill a (possibly subspace) configuration to a full one."""
-        full = dict(self._full_defaults)
-        full.update(conf)
-        return self._repair(executor, full)
-
-    @property
-    def _full_defaults(self) -> dict:
-        # Subspace tuners (IICP grafting) pin the untuned parameters at
-        # their range-clipped defaults, like LOCAT does.
-        base = getattr(self, "full_space", None) or self.space
-        return base.default_conf()
 
     def _result(self, executor: Executor, best_conf: dict, ds: float, t0: float, n0: int) -> TuneResult:
         return TuneResult(
@@ -71,7 +46,7 @@ class BaseTuner:
             best_conf=best_conf,
             best_time=executor.evaluate(best_conf, ds).total,
             opt_seconds=executor.charged_seconds - t0,
-            n_runs=getattr(executor, "n_runs", 0) - n0,
+            n_runs=executor.n_runs - n0,
             ds=ds,
             extras={},
         )

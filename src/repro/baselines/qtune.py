@@ -38,32 +38,26 @@ class QTune(BaseTuner):
         queries plus workload size — QTune's query-aware state vector."""
         names = queries if queries is not None else executor.query_names
         cats = {"selection": 0, "join": 0, "aggregation": 0}
-        profiles = getattr(getattr(executor, "sim", None), "profiles", None)
+        categories = executor.query_categories
         for q in names:
-            if profiles is not None and q in profiles:
-                cats[profiles[q].category] += 1
-            else:
-                cats["join"] += 1
+            cats[categories[q]] += 1
         n = max(1, len(names))
         return np.array([cats["selection"] / n, cats["join"] / n, cats["aggregation"] / n, min(n / 100.0, 1.0), 1.0])
 
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
         d = self.space.dim
         feat = self._featurize(executor, self.queries)
         W = rng.standard_normal((d, len(feat))) * 0.05  # policy weights
         sigma = self.sigma0
-        evals: list[tuple[dict, float]] = []
         baseline = None
         for ep in range(self.episodes):
             mean = 1.0 / (1.0 + np.exp(-(W @ feat)))  # action mean in (0,1)
             action = np.clip(mean + sigma * rng.standard_normal(d), 0.0, 1.0)
-            conf = self._repair(executor, self.space.from_vector(action))
-            t = self._run(executor, conf, ds)
-            evals.append((conf, t))
-            reward = -t
+            conf = executor.repair(self.space.from_vector(action), self.space)
+            reward = -self._run(executor, conf, ds)
             baseline = reward if baseline is None else 0.95 * baseline + 0.05 * reward
             adv = (reward - baseline) / (abs(baseline) + 1e-9)
             # REINFORCE on the squashed-Gaussian policy
@@ -73,7 +67,6 @@ class QTune(BaseTuner):
         # QTune deploys the trained policy: the recommendation is the
         # policy mean action, not the luckiest episode.
         mean = 1.0 / (1.0 + np.exp(-(W @ feat)))
-        policy_conf = self._repair(executor, self.space.from_vector(mean))
-        t_policy = self._run(executor, policy_conf, ds)  # deployment check
-        best_conf = policy_conf
+        best_conf = executor.repair(self.space.from_vector(mean), self.space)
+        self._run(executor, best_conf, ds)  # charged deployment check
         return self._result(executor, best_conf, ds, t0, n0)

@@ -46,7 +46,7 @@ class Tuneful(BaseTuner):
             for v in values:
                 conf = dict(base)
                 conf[p.name] = v
-                conf = self._repair(executor, conf)
+                conf = executor.repair(conf, self.space)
                 times.append(self._run(executor, conf, ds))
             times = np.array(times)
             significance[p.name] = float(np.ptp(times) / times.mean())
@@ -57,7 +57,7 @@ class Tuneful(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
         kept = self._oat(executor, ds, rng)
         sub = self.space.subspace(kept)
         base = self.space.default_conf()
@@ -66,7 +66,7 @@ class Tuneful(BaseTuner):
         def f(u: np.ndarray) -> float:
             conf = dict(base)
             conf.update(sub.from_vector(np.clip(u, 0.0, 1.0)))
-            conf = self._repair(executor, conf)
+            conf = executor.repair(conf, self.space)
             t = self._run(executor, conf, ds)
             evals.append((conf, t))
             return t

@@ -52,7 +52,8 @@ class LocatState:
 
 
 def _rqa_total(r: RunResult, rqa: list[str]) -> float:
-    return float(sum(r.times[q] for q in r.times if q in set(rqa)))
+    keep = set(rqa)
+    return float(sum(r.times[q] for q in r.times if q in keep))
 
 
 class Locat:
@@ -91,17 +92,6 @@ class Locat:
         self.use_qcsa = use_qcsa
         self.use_iicp = use_iicp
 
-    # -- helpers ---------------------------------------------------------
-    def _sample(self, executor, rng) -> dict:
-        if hasattr(executor, "sample_feasible"):
-            return executor.sample_feasible(self.space, rng)
-        return self.space.sample_random(rng)
-
-    def _repair(self, executor, conf: dict) -> dict:
-        if hasattr(executor, "repair"):
-            return executor.repair(conf, self.space)
-        return conf
-
     # -- phase 1: bootstrap ---------------------------------------------
     def _bootstrap(self, executor: Executor, ds: float, rng) -> tuple[list[dict], list[RunResult]]:
         """30 full-application runs doubling as the QCSA/IICP sample sets.
@@ -116,18 +106,18 @@ class Locat:
         confs: list[dict] = []
         runs: list[RunResult] = []
         for conf in self.space.sample_lhs(min(3, self.n_qcsa), rng):
-            conf = self._repair(executor, conf)
+            conf = executor.repair(conf, self.space)
             confs.append(conf)
             runs.append(executor.run(conf, ds))
         while len(runs) < min(self.n_iicp, self.n_qcsa):
-            conf = self._sample(executor, rng)
+            conf = executor.sample_feasible(self.space, rng)
             confs.append(conf)
             runs.append(executor.run(conf, ds))
         while len(runs) < self.n_qcsa:
             Xn = augment_with_ds(self.space.matrix(confs), [r.ds for r in runs])
             y = np.array([r.total for r in runs])
             acq = EIMCMC(Xn, y, rng, n_hyper=self.n_hyper)
-            cand_confs = [self._sample(executor, rng) for _ in range(self.n_candidates)]
+            cand_confs = [executor.sample_feasible(self.space, rng) for _ in range(self.n_candidates)]
             cand = augment_with_ds(self.space.matrix(cand_confs), ds)
             j = int(np.argmax(acq.score(cand)))
             conf = cand_confs[j]
@@ -182,7 +172,7 @@ class Locat:
                     conf = iicp_now.to_conf(z)
                 else:
                     conf = self.space.from_vector(np.clip(z, 0.0, 1.0))
-                conf = self._repair(executor, conf)
+                conf = executor.repair(conf, self.space)
                 r = executor.run(conf, ds, rqa)
                 state.Z.append(np.asarray(z, dtype=float))
                 state.ds.append(ds)
@@ -226,7 +216,8 @@ class Locat:
         degenerate."""
         y = np.asarray(state.y)
         at_ds = [i for i, d in enumerate(state.ds) if abs(d - ds) < 1e-9]
-        other = [i for i in range(len(y)) if i not in set(at_ds)]
+        at_ds_set = set(at_ds)
+        other = [i for i in range(len(y)) if i not in at_ds_set]
         # top candidates observed at this size, plus the best configurations
         # found at *other* sizes re-scored here — reusing prior optima across
         # data sizes is the datasize-awareness payoff (Section 3.4)
@@ -238,7 +229,7 @@ class Locat:
             # confirmation run (charged): averages out single-run noise so a
             # lucky observation is not crowned (CherryPick-style check)
             t2 = executor.run(state.confs[i], ds, rqa).total
-            avg = 0.5 * (y[i] + t2) if i in set(at_ds) else t2
+            avg = 0.5 * (y[i] + t2) if i in at_ds_set else t2
             if avg < best_t:
                 best_i, best_t = i, avg
         return state.confs[best_i], float(best_t)
@@ -248,7 +239,7 @@ class Locat:
         """Full pipeline at one input data size."""
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = getattr(executor, "n_runs", 0)
+        n0 = executor.n_runs
 
         confs, runs = self._bootstrap(executor, ds, rng)
         qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
@@ -280,7 +271,7 @@ class Locat:
             best_conf=best_conf,
             best_time=best_time,
             opt_seconds=executor.charged_seconds - t0,
-            n_runs=getattr(executor, "n_runs", 0) - n0,
+            n_runs=executor.n_runs - n0,
             ds=ds,
             extras={"state": state, "qcsa": qres, "iicp": ii},
         )
@@ -301,7 +292,7 @@ class Locat:
         rng = np.random.default_rng(self.seed + 1)
         for ds in ds_list[1:]:
             t0 = executor.charged_seconds
-            n0 = getattr(executor, "n_runs", 0)
+            n0 = executor.n_runs
             self._search(
                 executor,
                 ds,
@@ -316,7 +307,7 @@ class Locat:
                 best_conf=best_conf,
                 best_time=executor.evaluate(best_conf, ds).total,
                 opt_seconds=executor.charged_seconds - t0,
-                n_runs=getattr(executor, "n_runs", 0) - n0,
+                n_runs=executor.n_runs - n0,
                 ds=ds,
                 extras={"state": state},
             )

@@ -7,6 +7,10 @@ charges the execution to the executor's optimization-time meter (the
 quantity Figures 11/12/20 compare); ``evaluate`` prices a configuration
 without charging (used for the final speedup measurements of Figures
 13/14, which the paper performs after tuning finishes).
+
+Both substrates implement :class:`Executor` directly: the analytic
+:class:`~repro.cluster.simulator.SimulatedCluster` and the live
+:class:`~repro.execmodel.spark_exec.SparkSQLExecutor`.
 """
 from __future__ import annotations
 
@@ -52,6 +56,24 @@ class Executor(Protocol):
         ...
 
     @property
+    def query_categories(self) -> dict[str, str]:
+        """Query name -> 'selection', 'join' or 'aggregation'."""
+        ...
+
+    @property
     def charged_seconds(self) -> float:
         """Accumulated optimization time so far."""
+        ...
+
+    @property
+    def n_runs(self) -> int:
+        """Number of charged runs so far."""
+        ...
+
+    def sample_feasible(self, space, rng) -> dict:
+        """Random configuration over ``space`` that the executor can run."""
+        ...
+
+    def repair(self, conf: dict, space, rng=None) -> dict:
+        """``conf`` made runnable; re-draws repaired values when ``rng`` is given."""
         ...

@@ -4,60 +4,21 @@ This is the paper-scale substrate: TPC-DS at 100 GB–1 TB on the ARM or
 x86 cluster, where one application run costs simulated minutes-to-hours
 but real microseconds. All tuner comparisons (optimization time,
 speedup) run against this executor so every algorithm faces the same
-black box.
+black box. :class:`SimulatedCluster` implements the executor protocol
+itself; this module only picks the query profiles of a benchmark.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cluster.hardware import ClusterSpec
-from repro.cluster.profiles import PROFILE_SETS, QueryProfile
+from repro.cluster.profiles import PROFILE_SETS
 from repro.cluster.simulator import SimulatedCluster
-from repro.execmodel.interface import RunResult
 
-__all__ = ["SimulatedClusterExecutor", "make_executor"]
-
-
-class SimulatedClusterExecutor:
-    """Adapts :class:`SimulatedCluster` to the :class:`Executor` protocol."""
-
-    def __init__(self, spec: ClusterSpec, profiles: list[QueryProfile], *, seed: int = 0, noise: float = 0.12):
-        self.sim = SimulatedCluster(spec, profiles, seed=seed, noise=noise)
-
-    @property
-    def query_names(self) -> list[str]:
-        return self.sim.query_names
-
-    @property
-    def charged_seconds(self) -> float:
-        return self.sim.charged_seconds
-
-    @property
-    def n_runs(self) -> int:
-        return self.sim.n_runs
-
-    def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
-        r = self.sim.run(conf, ds, queries)
-        return RunResult(r.times, r.conf, r.ds_gb, r.gc_times)
-
-    def evaluate(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
-        r = self.sim.evaluate(conf, ds, queries)
-        return RunResult(r.times, r.conf, r.ds_gb, r.gc_times)
-
-    # feasibility helpers forwarded for tuners that sample configurations
-    def is_feasible(self, conf: dict) -> bool:
-        return self.sim.is_feasible(conf)
-
-    def sample_feasible(self, space, rng: np.random.Generator) -> dict:
-        return self.sim.sample_feasible(space, rng)
-
-    def repair(self, conf: dict, space, rng: np.random.Generator | None = None) -> dict:
-        return self.sim.repair(conf, space, rng)
+__all__ = ["make_executor"]
 
 
-def make_executor(benchmark: str, spec: ClusterSpec, *, seed: int = 0, noise: float = 0.12) -> SimulatedClusterExecutor:
+def make_executor(benchmark: str, spec: ClusterSpec, *, seed: int = 0, noise: float = 0.12) -> SimulatedCluster:
     """Executor for one of the paper's five benchmarks (Table 1)."""
     sets = PROFILE_SETS()
     if benchmark not in sets:
         raise KeyError(f"unknown benchmark {benchmark!r}; choose from {list(sets)}")
-    return SimulatedClusterExecutor(spec, sets[benchmark], seed=seed, noise=noise)
+    return SimulatedCluster(spec, sets[benchmark], seed=seed, noise=noise)

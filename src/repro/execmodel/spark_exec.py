@@ -71,6 +71,17 @@ class SparkSQLExecutor:
     def query_names(self) -> list[str]:
         return self.benchmark.query_names
 
+    @property
+    def query_categories(self) -> dict[str, str]:
+        return {q.name: q.category for q in self.benchmark.queries}
+
+    def sample_feasible(self, space, rng) -> dict:
+        """Every configuration runs: a session never allocates executors."""
+        return space.sample_random(rng)
+
+    def repair(self, conf: dict, space, rng=None) -> dict:
+        return conf
+
     # -- configuration ---------------------------------------------------
     def _apply(self, conf: dict) -> dict[str, str | None]:
         """Set the runtime-tunable subset; return previous values."""

@@ -62,7 +62,6 @@ def _graft_run(tuner_name: str, variant: str, cluster: str, ds: float, seed: int
             totals = np.array([r.total for r in runs[:20]])
             sub = space.subspace(cps(confs[:20], totals, space).kept)
     tuner = make_tuner(tuner_name, sub, seed, queries=queries)
-    tuner.full_space = space
     res = tuner.tune(ex, ds)
     # score the final configuration on the FULL application
     res.best_time = ex.evaluate(space.complete(res.best_conf), ds).total

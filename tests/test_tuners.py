@@ -114,7 +114,6 @@ class TestBaselines:
         t.space = ARM.subspace(
             ["spark.sql.shuffle.partitions", "spark.executor.memory", "spark.executor.cores"]
         )
-        t.full_space = ARM
         res = t.tune(ex, 100.0)
         assert res.best_time > 0
 
