@@ -8,8 +8,9 @@ the paper cites.
 
 Implementation: Metropolis–Hastings random walk in log-hyperparameter
 space under a weak log-normal prior, thinned to ``n_hyper`` posterior
-samples; EI is averaged over the sampled GPs. ``math.erf`` supplies the
-normal CDF (no scipy in this environment).
+samples; EI is averaged over the sampled GPs. The normal CDF comes from
+``_erf``, a vectorized Abramowitz & Stegun 7.1.26 approximation (the
+project does not depend on scipy, and ``math.erf`` is scalar-only).
 """
 from __future__ import annotations
 

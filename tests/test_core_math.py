@@ -14,7 +14,7 @@ from repro.core.acquisition import (
     norm_pdf,
     sample_hypers,
 )
-from repro.core.gp import GP, Hyper, log_marginal_likelihood
+from repro.core.gp import _JITTER, GP, Hyper, log_marginal_likelihood, rbf_kernel
 from repro.core.kpca import KERNELS, KernelPCA
 from repro.core.lhs import latin_hypercube
 from repro.core.spearman import rankdata, spearman, spearman_matrix
@@ -124,6 +124,127 @@ class TestGP:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             GP(np.zeros((3, 2)), np.zeros(4), Hyper(np.ones(2), 1.0, 0.1))
+
+
+def _dense_K(X, h):
+    return rbf_kernel(X, X, h) + (h.noise_var + _JITTER) * np.eye(len(X))
+
+
+def _gp_case(n, d, noise=1e-2, dup=False, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    if dup:
+        X[n // 2 :] = X[: n - n // 2]
+    y = np.sin(3 * X[:, 0]) + X[:, 1] + 0.1 * rng.standard_normal(n)
+    return X, y, Hyper(np.full(d, 0.3 if d == 2 else 1.5), 1.3, noise)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count calls of ``np.linalg.cholesky`` and ``np.linalg.solve``."""
+    calls = {"cholesky": 0, "solve": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestGPFactorization:
+    """The bordered factorization against dense LU references."""
+
+    CASES = [
+        (n, d, noise, dup)
+        for n in (1, 2, 30, 220)
+        for d in (2, 39)
+        for noise in (1e-2, 1e-6)
+        for dup in (False, True)
+    ]
+
+    @pytest.mark.parametrize("n,d,noise,dup", CASES)
+    def test_lml_matches_dense_reference(self, n, d, noise, dup):
+        X, y, h = _gp_case(n, d, noise, dup)
+        ys = (y - y.mean()) / (y.std() or 1.0)
+        K = _dense_K(X, h)
+        sign, logdet = np.linalg.slogdet(K)
+        assert sign == 1.0
+        ref = -0.5 * ys @ np.linalg.solve(K, ys) - 0.5 * logdet - 0.5 * n * np.log(2 * np.pi)
+        assert log_marginal_likelihood(X, ys, h) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("n,d,noise,dup", CASES)
+    def test_predict_matches_dense_reference(self, n, d, noise, dup):
+        X, y, h = _gp_case(n, d, noise, dup)
+        Xs = np.random.default_rng(1).random((40, d))
+        mu, var = GP(X, y, h).predict(Xs)
+        K, Ks = _dense_K(X, h), rbf_kernel(X, Xs, h)
+        sd = y.std() or 1.0
+        mu_ref = Ks.T @ np.linalg.solve(K, (y - y.mean()) / sd) * sd + y.mean()
+        var_ref = (h.signal_var - np.sum(Ks * np.linalg.solve(K, Ks), axis=0)) * sd**2
+        # Two backward-stable solves of one system agree to about cond(K)·eps;
+        # that exceeds 1e-9 only at noise 1e-6 on 220 points in 2-d (cond ≈ 1e8).
+        tol = 1e-9 + np.linalg.cond(K) * np.finfo(float).eps
+        assert np.max(np.abs(mu - mu_ref)) <= tol * np.max(np.abs(mu_ref))
+        # Posterior variance is the prior variance minus the explained part,
+        # so its error is measured on the prior's scale.
+        assert np.max(np.abs(var - var_ref)) <= 1e-9 * h.signal_var * sd**2
+
+    def test_indefinite_kernel_rejected(self):
+        X, y, _ = _gp_case(30, 2)
+        h = Hyper(np.full(2, 0.3), 1.0, -2.0)
+        assert log_marginal_likelihood(X, y, h) == -np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            GP(X, y, h)
+
+    def test_border_never_rejects_a_factorable_kernel(self):
+        """LML is finite exactly when K itself factors, out to the prior's tails.
+
+        Near-duplicate rows and white targets make ‖L⁻¹y‖² approach its
+        bound yᵀy / (noise + jitter); the draws with long lengthscales, tiny
+        noise and large signal variance push it past that bound.
+        """
+        rng = np.random.default_rng(0)
+        d = 2
+        base = rng.random((100, d))
+        X = np.vstack([base, base + 1e-7 * rng.standard_normal((100, d))])
+        ys = rng.standard_normal(len(X))
+        ys = (ys - ys.mean()) / ys.std()
+        # MH prior of acquisition._log_prior, widened 2.5x.
+        mean = np.r_[np.full(d, math.log(0.3)), 0.0, math.log(1e-2)]
+        sd = np.r_[np.ones(d), 1.0, 1.5]
+        vs = mean + 2.5 * sd * rng.standard_normal((300, d + 2))
+        tails = vs[::5]  # a view: every fifth draw goes into one of four tails
+        tails[0::4, -1] = math.log(1e-14)
+        tails[1::4, :d] = math.log(1e3)
+        tails[2::4, :d] = math.log(1e-3)
+        tails[3::4, :d] = math.log(1e2)
+        tails[3::4, -1] = math.log(1e-12)
+        tails[3::4, -2] = np.log(rng.choice([1e5, 1e6, 1e7], len(tails[3::4])))
+        outcomes = set()
+        for v in vs:
+            h = Hyper.from_log_vector(v)
+            try:
+                np.linalg.cholesky(_dense_K(X, h))
+                factorable = True
+            except np.linalg.LinAlgError:
+                factorable = False
+            outcomes.add(factorable)
+            assert np.isfinite(log_marginal_likelihood(X, ys, h)) == factorable, v
+        assert outcomes == {True, False}
+
+    def test_one_factorization_per_state_and_no_solve_on_y(self, linalg_calls):
+        X, y, h = _gp_case(30, 2)
+        log_marginal_likelihood(X, y, h)
+        assert linalg_calls == {"cholesky": 1, "solve": 0}
+        linalg_calls.update(cholesky=0, solve=0)
+        gp = GP(X, y, h)
+        assert linalg_calls == {"cholesky": 1, "solve": 0}
+        linalg_calls.update(cholesky=0, solve=0)
+        gp.predict(X[:5])
+        assert linalg_calls == {"cholesky": 0, "solve": 1}
 
 
 # ---------------------------------------------------------- acquisition
