@@ -9,10 +9,8 @@ third are Configuration-Insensitive Queries (CIQ) and are removed,
 leaving the Reduced Query Application (RQA) of Configuration-Sensitive
 Queries (CSQ).
 
-Two front-ends: :func:`qcsa` consumes the per-query time table as a
-long-format pandas DataFrame; :func:`qcsa_spark` computes the same CVs
-with Spark DataFrame aggregations (``stddev_pop / mean`` per query) for
-sample logs living in Spark.
+:func:`qcsa` consumes the per-query time table as a long-format pandas
+DataFrame; :func:`qcsa_from_runs` builds that table from executor runs.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ import pandas as pd
 
 from repro.execmodel.interface import RunResult
 
-__all__ = ["QCSAResult", "compute_cvs", "classify", "qcsa", "qcsa_from_runs", "qcsa_spark"]
+__all__ = ["QCSAResult", "compute_cvs", "classify", "qcsa", "qcsa_from_runs"]
 
 #: Paper Section 5.1: 30 samples saturate the CV estimate.
 N_QCSA = 30
@@ -87,21 +85,3 @@ def qcsa_from_runs(runs: list[RunResult]) -> QCSAResult:
         for q, t in r.times.items()
     ]
     return qcsa(pd.DataFrame(rows))
-
-
-def qcsa_spark(df) -> QCSAResult:
-    """QCSA where the sample log is a Spark DataFrame (query, run, time).
-
-    The CV aggregation (eq. 3) runs inside Spark — ``stddev_pop`` over
-    ``mean`` per query via Catalyst; only the tiny per-query CV table is
-    collected.
-    """
-    from pyspark.sql import functions as F
-
-    agg = (
-        df.groupBy("query")
-        .agg((F.stddev_pop("time") / F.mean("time")).alias("cv"))
-        .collect()
-    )
-    cvs = {row["query"]: float(row["cv"] or 0.0) for row in agg}
-    return classify(cvs)

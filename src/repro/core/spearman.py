@@ -5,20 +5,15 @@ the SCC between each configuration parameter and the application
 execution time, and drops parameters with ``|SCC| < 0.2`` (the common
 poor-correlation boundary).
 
-Two implementations are provided:
-
-* :func:`spearman` — numpy/pandas, for the tiny in-memory sample matrices
-  (``N_IICP`` = 20 rows) the tuner itself sees.
-* :func:`spearman_spark` — a Spark DataFrame implementation (average-tie
-  ranks via window + group-by, then Pearson correlation of the ranks via
-  ``corr``) for sample logs that live in Spark.
+:func:`spearman` works on the tiny in-memory sample matrices
+(``N_IICP`` = 20 rows) the tuner sees.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-__all__ = ["rankdata", "spearman", "spearman_matrix", "spearman_spark"]
+__all__ = ["rankdata", "spearman", "spearman_matrix"]
 
 
 def rankdata(x: np.ndarray) -> np.ndarray:
@@ -49,27 +44,3 @@ def spearman_matrix(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SCC of every column of ``X`` (n, d) against ``y`` (n,)."""
     X = np.asarray(X, dtype=float)
     return np.array([spearman(X[:, j], y) for j in range(X.shape[1])])
-
-
-def spearman_spark(df, xcol: str, ycol: str) -> float:
-    """Spearman's rho between two columns of a Spark DataFrame.
-
-    Ranks are computed with average ties: ``row_number`` over the sorted
-    column, then the mean row number within each distinct value — pure
-    DataFrame API, so Catalyst plans the whole thing. The final Pearson
-    correlation of the two rank columns is Spark's ``corr`` aggregate.
-    """
-    from pyspark.sql import Window
-    from pyspark.sql import functions as F
-
-    def with_rank(d, col, out):
-        w = Window.orderBy(F.col(col), F.col("__row_id"))
-        rn = d.withColumn("__rn", F.row_number().over(w))
-        avg = rn.groupBy(col).agg(F.avg("__rn").alias(out))
-        return d.join(avg, on=col, how="inner")
-
-    d = df.select(xcol, ycol).withColumn("__row_id", F.monotonically_increasing_id())
-    d = with_rank(d, xcol, "__rx")
-    d = with_rank(d, ycol, "__ry")
-    r = d.agg(F.corr("__rx", "__ry").alias("rho")).collect()[0]["rho"]
-    return 0.0 if r is None else float(r)

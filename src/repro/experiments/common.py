@@ -9,8 +9,6 @@ Figures 11/12 setting).
 """
 from __future__ import annotations
 
-import pandas as pd
-
 from repro.baselines import DAC, GBORL, QTune, Tuneful
 from repro.cluster.hardware import ARM_CLUSTER, X86_CLUSTER, ClusterSpec
 from repro.core.configspace import ConfigSpace, arm_space, x86_space
@@ -72,12 +70,3 @@ def run_campaign(
     if isinstance(ds, (list, tuple)):
         return tuner.tune_multi(ex, list(ds)), ex
     return tuner.tune(ex, float(ds)), ex
-
-
-def to_markdown(df: pd.DataFrame, floatfmt: str = "%.2f") -> str:
-    """Plain-text table without optional tabulate dependency."""
-    df = df.copy()
-    for c in df.columns:
-        if df[c].dtype.kind == "f":
-            df[c] = df[c].map(lambda v: floatfmt % v)
-    return df.to_string(index=False)

@@ -53,7 +53,3 @@ def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_train: int 
                 }
             )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run().to_string(index=False))

@@ -46,7 +46,3 @@ def run(*, cluster: str = "arm", max_samples: int = 50, ds: float = 100.0, seed:
                     }
                 )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run().to_string(index=False))

@@ -66,9 +66,3 @@ def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_samples: in
         ]
     )
     return per_query, summary
-
-
-if __name__ == "__main__":
-    pq, s = run()
-    print(s.to_string(index=False))
-    print(pq.head(25).to_string(index=False))

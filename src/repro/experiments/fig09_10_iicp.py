@@ -58,8 +58,3 @@ def run_fig10(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_sampl
             }
         )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run_fig9().to_string(index=False))
-    print(run_fig10().to_string(index=False))

@@ -65,9 +65,3 @@ def summarize(df: pd.DataFrame) -> pd.DataFrame:
             "paper_avg_x": g["paper_avg_x"].first(),
         }
     ).reset_index()
-
-
-if __name__ == "__main__":
-    df = run()
-    print(df.to_string(index=False))
-    print(summarize(df).to_string(index=False))

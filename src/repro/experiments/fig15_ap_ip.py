@@ -32,9 +32,3 @@ def run(*, cluster: str = "arm", sizes=(100.0, 200.0, 300.0, 400.0, 500.0), seed
             }
         )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    df = run()
-    print(df.to_string(index=False))
-    print("avg ip/ap speedup: %.2f" % df["ip_over_ap_x"].mean())

@@ -52,8 +52,3 @@ def run(*, cluster: str = "arm", ds: float = 100.0, n_train: int = 60, n_test: i
             rel_err = float(np.mean(np.abs(pred - yte) / yte))
             rows.append({"benchmark": bench, "model": name, "rel_error": rel_err})
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    df = run()
-    print(df.pivot(index="benchmark", columns="model", values="rel_error").to_string())

@@ -58,8 +58,3 @@ def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_samples: in
                 }
             )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    df = run()
-    print(df.to_string(index=False))

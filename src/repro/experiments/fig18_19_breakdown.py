@@ -70,8 +70,3 @@ def run_fig19(*, cluster: str = "arm", sizes=(100.0, 300.0, 500.0), seed: int = 
                     }
                 )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run_fig18().to_string(index=False))
-    print(run_fig19().to_string(index=False))

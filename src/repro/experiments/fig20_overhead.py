@@ -36,7 +36,3 @@ def run(*, cluster: str = "arm", sizes=(100.0, 200.0, 300.0, 400.0, 500.0), seed
                 }
             )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run().to_string(index=False))

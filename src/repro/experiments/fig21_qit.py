@@ -88,8 +88,3 @@ def run(*, cluster: str = "arm", ds: float = 500.0, seed: int = 5, tuners=("DAGP
                 }
             )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    df = run()
-    print(df.to_string(index=False))

@@ -40,7 +40,3 @@ def run() -> pd.DataFrame:
             }
         )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run().to_string(index=False))

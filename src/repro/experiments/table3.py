@@ -74,7 +74,3 @@ def run(*, cluster: str = "arm", n_samples: int = 120, seed: int = 7, exec_seed:
                 }
             )
     return pd.DataFrame(rows)
-
-
-if __name__ == "__main__":
-    print(run().to_string(index=False))

@@ -1,10 +1,7 @@
-"""Tests for the live-Spark executor and the Spark-side analytics."""
-import pandas as pd
+"""Tests for the live-Spark executor."""
 import pytest
 
 from repro.core.configspace import arm_space
-from repro.core.qcsa import qcsa, qcsa_spark
-from repro.core.spearman import spearman, spearman_spark
 from repro.execmodel.spark_exec import RUNTIME_TUNABLE, SparkSQLExecutor
 from repro.workloads.registry import all_benchmarks
 
@@ -74,36 +71,3 @@ class TestSparkExecutor:
         # Table 2 gives autoBroadcastJoinThreshold in KB; Spark wants bytes
         assert RUNTIME_TUNABLE["spark.sql.autoBroadcastJoinThreshold"](1024) == str(1024 * 1024)
         assert RUNTIME_TUNABLE["spark.sql.join.preferSortMergeJoin"](False) == "false"
-
-
-class TestSparkAnalytics:
-    def test_spearman_spark_matches_numpy(self, spark):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        x = rng.random(60)
-        y = 2 * x + 0.2 * rng.standard_normal(60)
-        df = spark.createDataFrame(pd.DataFrame({"x": x, "y": y}))
-        rho_spark = spearman_spark(df, "x", "y")
-        rho_np = spearman(x, y)
-        assert rho_spark == pytest.approx(rho_np, abs=1e-9)
-
-    def test_spearman_spark_with_ties(self, spark):
-        import numpy as np
-
-        x = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 4.0] * 5)
-        y = x**2 + np.tile(np.array([0.0, 0.1, -0.1]), 10)
-        df = spark.createDataFrame(pd.DataFrame({"x": x, "y": y}))
-        assert spearman_spark(df, "x", "y") == pytest.approx(spearman(x, y), abs=1e-9)
-
-    def test_qcsa_spark_matches_pandas(self, spark):
-        rows = []
-        for j in range(8):
-            rows.append({"query": "flat", "run": j, "time": 5.0 + 0.01 * (j % 2)})
-            rows.append({"query": "wild", "run": j, "time": 5.0 * (1 + j)})
-        pdf = pd.DataFrame(rows)
-        res_pd = qcsa(pdf)
-        res_spark = qcsa_spark(spark.createDataFrame(pdf))
-        assert set(res_spark.csq) == set(res_pd.csq)
-        for q in res_pd.cvs:
-            assert res_spark.cvs[q] == pytest.approx(res_pd.cvs[q], rel=1e-9)
