@@ -24,6 +24,8 @@ __all__ = ["DAC"]
 
 class DAC(BaseTuner):
     name = "DAC"
+    #: A later data size tops the model up with this share of ``n_train``.
+    RETUNE_FRAC = 0.35
 
     def __init__(
         self,
@@ -32,14 +34,12 @@ class DAC(BaseTuner):
         seed: int = 0,
         queries=None,
         samples_per_dim: int = 9,
-        retune_frac: float = 0.35,
         ga_pop: int = 40,
         ga_gens: int = 25,
         validate_top: int = 5,
     ):
         super().__init__(space, seed=seed, queries=queries)
         self.samples_per_dim = samples_per_dim
-        self.retune_frac = retune_frac
         self.ga_pop = ga_pop
         self.ga_gens = ga_gens
         self.validate_top = validate_top
@@ -86,7 +86,7 @@ class DAC(BaseTuner):
         t0 = executor.charged_seconds
         n0 = executor.n_runs
         # model bootstrap (full cost) or datasize-aware top-up
-        need = self.n_train if not self._X else int(self.n_train * self.retune_frac)
+        need = self.n_train if not self._X else int(self.n_train * self.RETUNE_FRAC)
         self._collect(executor, ds, need, rng)
         model = GBRTRegressor(n_estimators=60, max_depth=4).fit(np.vstack(self._X), np.array(self._y))
         # GA search on the model, then validate candidates on the cluster

@@ -23,13 +23,14 @@ __all__ = ["GBORL"]
 
 class GBORL(BaseTuner):
     name = "GBO-RL"
+    #: BO stop rule: EI below 1% of the incumbent (LOCAT stops at 10%).
+    EI_FRAC = 0.01
 
-    def __init__(self, space, *, seed: int = 0, queries=None, n_warm: int = 8, min_iters: int = 170, max_iters: int = 210, ei_frac: float = 0.01):
+    def __init__(self, space, *, seed: int = 0, queries=None, n_warm: int = 8, min_iters: int = 170, max_iters: int = 210):
         super().__init__(space, seed=seed, queries=queries)
         self.n_warm = n_warm
         self.min_iters = min_iters
         self.max_iters = max_iters
-        self.ei_frac = ei_frac
 
     def _memory_guided(self, rng) -> dict:
         """Warm-start configuration from the memory analytical model:
@@ -76,7 +77,7 @@ class GBORL(BaseTuner):
             rng,
             min_iters=self.min_iters,
             max_iters=self.max_iters,
-            ei_frac=self.ei_frac,
+            ei_frac=self.EI_FRAC,
             init_X=np.vstack(warm_X),
             init_y=np.array(warm_y),
             local_refine=False,

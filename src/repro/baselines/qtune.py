@@ -25,12 +25,13 @@ __all__ = ["QTune"]
 
 class QTune(BaseTuner):
     name = "QTune"
+    #: REINFORCE learning rate and the policy's initial exploration noise.
+    LR = 0.15
+    SIGMA0 = 0.25
 
-    def __init__(self, space, *, seed: int = 0, queries=None, episodes: int = 600, lr: float = 0.15, sigma0: float = 0.25):
+    def __init__(self, space, *, seed: int = 0, queries=None, episodes: int = 600):
         super().__init__(space, seed=seed, queries=queries)
         self.episodes = episodes
-        self.lr = lr
-        self.sigma0 = sigma0
 
     @staticmethod
     def _featurize(executor: Executor, queries) -> np.ndarray:
@@ -51,7 +52,7 @@ class QTune(BaseTuner):
         d = self.space.dim
         feat = self._featurize(executor, self.queries)
         W = rng.standard_normal((d, len(feat))) * 0.05  # policy weights
-        sigma = self.sigma0
+        sigma = self.SIGMA0
         baseline = None
         for ep in range(self.episodes):
             mean = 1.0 / (1.0 + np.exp(-(W @ feat)))  # action mean in (0,1)
@@ -62,7 +63,7 @@ class QTune(BaseTuner):
             adv = (reward - baseline) / (abs(baseline) + 1e-9)
             # REINFORCE on the squashed-Gaussian policy
             grad_mean = (action - mean) / (sigma**2) * mean * (1 - mean)
-            W += self.lr * adv * np.outer(grad_mean, feat)
+            W += self.LR * adv * np.outer(grad_mean, feat)
             sigma = max(0.05, sigma * 0.995)  # anneal exploration
         # QTune deploys the trained policy: the recommendation is the
         # policy mean action, not the luckiest episode.

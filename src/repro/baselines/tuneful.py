@@ -23,11 +23,12 @@ __all__ = ["Tuneful"]
 
 class Tuneful(BaseTuner):
     name = "Tuneful"
+    #: Share of the parameters OAT keeps as the significant subspace.
+    KEEP_FRAC = 0.33
 
-    def __init__(self, space, *, seed: int = 0, queries=None, oat_values: int = 3, keep_frac: float = 0.33, bo_min_iters: int = 10, bo_max_iters: int = 30):
+    def __init__(self, space, *, seed: int = 0, queries=None, oat_values: int = 3, bo_min_iters: int = 10, bo_max_iters: int = 30):
         super().__init__(space, seed=seed, queries=queries)
         self.oat_values = oat_values
-        self.keep_frac = keep_frac
         self.bo_min_iters = bo_min_iters
         self.bo_max_iters = bo_max_iters
 
@@ -50,7 +51,7 @@ class Tuneful(BaseTuner):
                 times.append(self._run(executor, conf, ds))
             times = np.array(times)
             significance[p.name] = float(np.ptp(times) / times.mean())
-        k = max(3, int(round(self.keep_frac * self.space.dim)))
+        k = max(3, int(round(self.KEEP_FRAC * self.space.dim)))
         ranked = sorted(significance, key=lambda n: -significance[n])
         return ranked[:k]
 
@@ -76,7 +77,6 @@ class Tuneful(BaseTuner):
             np.zeros(sub.dim),
             np.ones(sub.dim),
             rng,
-            n_init=3,
             min_iters=self.bo_min_iters,
             max_iters=self.bo_max_iters,
             ei_frac=0.10,

@@ -32,6 +32,7 @@ import numpy as np
 __all__ = [
     "QueryProfile",
     "TPCDS_CSQ",
+    "TPCDS_CSQ_NAMES",
     "TPCDS_SELECTION",
     "tpcds_profiles",
     "tpch_profiles",
@@ -81,6 +82,16 @@ TPCDS_SELECTION = [
     "Q88", "Q94", "Q96",
 ]
 
+
+def _padded(q: str) -> str:
+    """A paper name like "Q72" or "Q14b" as our zero-padded query name."""
+    return f"Q{int(q[1:-1]):02d}{q[-1]}" if q[-1] in "ab" else f"Q{int(q[1:]):02d}"
+
+
+#: :data:`TPCDS_CSQ` under the zero-padded names the simulator uses.
+TPCDS_CSQ_NAMES = frozenset(map(_padded, TPCDS_CSQ))
+_SELECTION_NAMES = frozenset(map(_padded, TPCDS_SELECTION))
+
 #: Query numbers with a/b variants in the Spark TPC-DS kit the paper uses
 #: (Q14a/b ... Q64a/b appear by name in Section 5.2), giving 104 queries.
 _AB_VARIANTS = (14, 23, 24, 39, 64)
@@ -98,11 +109,8 @@ def tpcds_query_names() -> list[str]:
 
 
 def _tpcds_profile(name: str) -> QueryProfile:
-    # normalize paper names like "Q72"/"Q14b" to our zero-padded ones
-    csq = {f"Q{int(q[1:-1]):02d}{q[-1]}" if q[-1] in "ab" else f"Q{int(q[1:]):02d}" for q in TPCDS_CSQ}
-    sel = {f"Q{int(q[1:]):02d}" for q in TPCDS_SELECTION}
     u = _h01("tpcds", name)
-    if name in sel:
+    if name in _SELECTION_NAMES:
         category = "selection"
         cpu = 0.6 + 0.9 * u  # scan-bound filter work
         shuffle = 0.00002 + 0.00008 * u
@@ -110,7 +118,7 @@ def _tpcds_profile(name: str) -> QueryProfile:
         reduce_frac = 0.05
         bkb = 0.0
         max_cores = 4 + int(5 * _h01("mc", name))
-    elif name in csq:
+    elif name in TPCDS_CSQ_NAMES:
         category = "join" if u < 0.6 else "aggregation"
         # Heavy shuffles: 0.20-0.60 GB per GB of input (Q72 pinned below).
         cpu = 10.0 + 12.0 * _h01("cpu", name)

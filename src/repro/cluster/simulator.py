@@ -33,12 +33,11 @@ giving them the low CVs of Figure 8.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 
 from repro.cluster.gc_model import gc_seconds
 from repro.cluster.hardware import ClusterSpec
-from repro.cluster.profiles import QueryProfile
+from repro.cluster.profiles import QueryProfile, _h01
 from repro.execmodel.interface import RunResult
 
 __all__ = ["SimulatedCluster"]
@@ -49,11 +48,6 @@ _SKEW = 6.0
 _INFLATION = 4.0
 _TASK_OVERHEAD_S = 0.012
 _SPLIT_GB = 0.128
-
-
-def _h01(*key: object) -> float:
-    h = hashlib.sha256("|".join(map(str, key)).encode()).digest()
-    return int.from_bytes(h[:8], "big") / 2**64
 
 
 def _gauss(*key: object) -> float:

@@ -26,6 +26,12 @@ __all__ = ["norm_pdf", "norm_cdf", "expected_improvement", "sample_hypers", "EIM
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+#: Metropolis–Hastings chain: burn-in steps, thinning interval and the
+#: random-walk step in log-hyperparameter space.
+_N_BURN = 30
+_THIN = 3
+_STEP = 0.25
+
 
 def norm_pdf(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
@@ -78,9 +84,6 @@ def sample_hypers(
     rng: np.random.Generator,
     *,
     n_hyper: int = 8,
-    n_burn: int = 30,
-    thin: int = 3,
-    step: float = 0.25,
 ) -> list[Hyper]:
     """MH posterior samples of GP hyperparameters given (X, y).
 
@@ -95,14 +98,14 @@ def sample_hypers(
     cur_lp = log_marginal_likelihood(X, ys, cur) + _log_prior(cur)
     v = cur.as_log_vector()
     samples: list[Hyper] = []
-    total = n_burn + thin * n_hyper
+    total = _N_BURN + _THIN * n_hyper
     for i in range(total):
-        prop_v = v + step * rng.standard_normal(len(v))
+        prop_v = v + _STEP * rng.standard_normal(len(v))
         prop = Hyper.from_log_vector(prop_v)
         lp = log_marginal_likelihood(X, ys, prop) + _log_prior(prop)
         if np.isfinite(lp) and math.log(rng.random() + 1e-300) < lp - cur_lp:
             cur, cur_lp, v = prop, lp, prop_v
-        if i >= n_burn and (i - n_burn) % thin == 0:
+        if i >= _N_BURN and (i - _N_BURN) % _THIN == 0:
             samples.append(cur)
     return samples
 
@@ -136,15 +139,3 @@ class EIMCMC:
             mu, var = gp.predict(candidates)
             total += expected_improvement(mu, var, self.best)
         return total / len(self._gps)
-
-    def predict(self, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ensemble-averaged posterior mean and variance."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        mus = np.zeros(len(candidates))
-        second = np.zeros(len(candidates))
-        for gp in self._gps:
-            mu, var = gp.predict(candidates)
-            mus += mu
-            second += var + mu**2
-        mus /= len(self._gps)
-        return mus, np.maximum(second / len(self._gps) - mus**2, 1e-12)

@@ -20,7 +20,10 @@ import numpy as np
 from repro.core.acquisition import EIMCMC
 from repro.core.lhs import latin_hypercube
 
-__all__ = ["BOResult", "bo_minimize"]
+__all__ = ["BOResult", "N_INIT", "bo_minimize"]
+
+#: LHS start points when no samples seed the surrogate (paper Section 3.4).
+N_INIT = 3
 
 
 @dataclass
@@ -42,7 +45,6 @@ def bo_minimize(
     hi: np.ndarray,
     rng: np.random.Generator,
     *,
-    n_init: int = 3,
     min_iters: int = 10,
     max_iters: int = 40,
     ei_frac: float = 0.10,
@@ -57,7 +59,7 @@ def bo_minimize(
     """Minimize ``f`` over the box ``[lo, hi]``.
 
     ``init_X`` / ``init_y`` seed the surrogate with pre-existing samples
-    (LOCAT reuses its bootstrap executions; ``n_init`` LHS points are
+    (LOCAT reuses its bootstrap executions; ``N_INIT`` LHS points are
     drawn only when no seed is given). ``fixed_dims`` pins coordinates of
     *proposed* candidates (DAGP pins the data-size dimension to the
     current size while the surrogate still learns across sizes from the
@@ -82,7 +84,7 @@ def bo_minimize(
         X_list = [np.asarray(x, dtype=float) for x in init_X]
         y_list = [float(v) for v in init_y]
     else:
-        for u in apply_fixed(latin_hypercube(n_init, d, rng)):
+        for u in apply_fixed(latin_hypercube(N_INIT, d, rng)):
             x = lo + u * span
             X_list.append(x)
             y_list.append(float(f(x)))

@@ -15,21 +15,23 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DS_REF", "ds_normalize", "augment_with_ds"]
+__all__ = ["DS_REF", "DS_BOX", "ds_normalize", "augment_with_ds"]
 
 #: Reference data size (GB) for normalizing the ds coordinate — the top of
 #: Table 1's size range, so sizes map into roughly [0.2, 1].
 DS_REF = 500.0
+#: BO's search interval on the normalized ds coordinate (10 GB to 1.3 TB).
+DS_BOX = (0.02, 2.6)
 
 
-def ds_normalize(ds: float, ds_ref: float = DS_REF) -> float:
+def ds_normalize(ds: float) -> float:
     """Map a data size onto the GP's ds coordinate."""
     if ds <= 0:
         raise ValueError("data size must be positive")
-    return float(ds) / ds_ref
+    return float(ds) / DS_REF
 
 
-def augment_with_ds(X: np.ndarray, ds_values, ds_ref: float = DS_REF) -> np.ndarray:
+def augment_with_ds(X: np.ndarray, ds_values) -> np.ndarray:
     """Append the normalized ds coordinate as the last column of ``X``.
 
     ``ds_values`` is a scalar (same size for all rows) or a length-n
@@ -39,9 +41,9 @@ def augment_with_ds(X: np.ndarray, ds_values, ds_ref: float = DS_REF) -> np.ndar
     X = np.atleast_2d(np.asarray(X, dtype=float))
     ds_arr = np.asarray(ds_values, dtype=float)
     if ds_arr.ndim == 0:
-        ds_col = np.full((len(X), 1), ds_normalize(float(ds_arr), ds_ref))
+        ds_col = np.full((len(X), 1), ds_normalize(float(ds_arr)))
     else:
         if len(ds_arr) != len(X):
             raise ValueError("ds_values length mismatch")
-        ds_col = (ds_arr / ds_ref)[:, None]
+        ds_col = (ds_arr / DS_REF)[:, None]
     return np.hstack([X, ds_col])

@@ -63,31 +63,29 @@ class IICPResult:
         """Project a full configuration into the extracted space."""
         return self.kpca.transform(self.subspace.to_vector(conf)[None, :])[0]
 
-    def to_conf(self, z: np.ndarray, base: dict | None = None) -> dict:
+    def to_conf(self, z: np.ndarray) -> dict:
         """Pre-image a latent point back to a full configuration.
 
-        Non-selected parameters take their values from ``base`` (defaults
-        when omitted) — tuning only the important ones is the point of
-        IICP (Figure 15).
+        Non-selected parameters stay at their defaults — tuning only the
+        important ones is the point of IICP (Figure 15).
         """
         u = self.kpca.inverse_transform(np.asarray(z, dtype=float)[None, :])[0]
-        partial = self.subspace.from_vector(np.clip(u, 0.0, 1.0))
-        conf = dict(base) if base is not None else self.space.default_conf()
-        conf.update(partial)
+        conf = self.space.default_conf()
+        conf.update(self.subspace.from_vector(np.clip(u, 0.0, 1.0)))
         return conf
 
-    def latent_bounds(self, margin: float = 0.15) -> tuple[np.ndarray, np.ndarray]:
-        return self.kpca.latent_bounds(margin)
+    def latent_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.kpca.latent_bounds()
 
 
-def cps(confs: list[dict], times: np.ndarray, space: ConfigSpace, *, threshold: float = SCC_THRESHOLD) -> CPSResult:
+def cps(confs: list[dict], times: np.ndarray, space: ConfigSpace) -> CPSResult:
     """Configuration Parameter Selection over (configuration, time) samples."""
     X = space.matrix(confs)
     times = np.asarray(times, dtype=float)
     if len(X) != len(times):
         raise ValueError("confs and times length mismatch")
     scc = spearman_matrix(X, times)
-    kept = [space.names[j] for j in range(space.dim) if abs(scc[j]) >= threshold]
+    kept = [space.names[j] for j in range(space.dim) if abs(scc[j]) >= SCC_THRESHOLD]
     if not kept:  # degenerate flat response: keep the single best-correlated
         kept = [space.names[int(np.argmax(np.abs(scc)))]]
     return CPSResult(kept, dict(zip(space.names, map(float, scc))))
@@ -106,17 +104,9 @@ def cpe(confs: list[dict], subspace: ConfigSpace, *, kernel: str = "gaussian", n
     return KernelPCA(n_components, kernel=kernel).fit(X)
 
 
-def iicp(
-    confs: list[dict],
-    times: np.ndarray,
-    space: ConfigSpace,
-    *,
-    kernel: str = "gaussian",
-    threshold: float = SCC_THRESHOLD,
-    n_components: int | None = None,
-) -> IICPResult:
-    """CPS followed by CPE — the full IICP pipeline."""
-    c = cps(confs, times, space, threshold=threshold)
+def iicp(confs: list[dict], times: np.ndarray, space: ConfigSpace) -> IICPResult:
+    """CPS followed by Gaussian-kernel CPE — the full IICP pipeline."""
+    c = cps(confs, times, space)
     sub = space.subspace(c.kept)
-    k = cpe(confs, sub, kernel=kernel, n_components=n_components)
+    k = cpe(confs, sub)
     return IICPResult(space, c, sub, k, k.n_components)

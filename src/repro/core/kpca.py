@@ -18,12 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KernelPCA", "KERNELS"]
+__all__ = ["KernelPCA", "KERNELS", "pairwise_sqdist"]
 
 KERNELS = ("gaussian", "polynomial", "perceptron")
 
+#: Degree of the polynomial kernel ``(x·y + 1)^d``.
+_DEGREE = 3
+#: Pre-image fixed-point iteration: step cap and convergence tolerance.
+_PREIMAGE_ITERS = 60
+_PREIMAGE_TOL = 1e-8
+#: Padding of the BO search box around the training projections, as a
+#: fraction of each axis's span.
+_LATENT_MARGIN = 0.15
 
-def _pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+
+def pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``A`` and ``B``."""
     aa = np.sum(A * A, axis=1)[:, None]
     bb = np.sum(B * B, axis=1)[None, :]
     return np.maximum(aa + bb - 2.0 * A @ B.T, 0.0)
@@ -32,30 +42,29 @@ def _pairwise_sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class KernelPCA:
     """KPCA with pre-image support, pure numpy.
 
-    ``gamma`` defaults to ``1 / d`` (the common median-free heuristic on
-    unit-cube data). ``n_components`` is fixed by the caller — LOCAT uses
-    roughly one third of the CPS-selected parameter count (Figure 10).
+    The Gaussian kernel's ``gamma`` is ``1 / d`` (the common median-free
+    heuristic on unit-cube data). ``n_components`` is fixed by the
+    caller — LOCAT uses roughly one third of the CPS-selected parameter
+    count (Figure 10).
     """
 
-    def __init__(self, n_components: int, kernel: str = "gaussian", gamma: float | None = None, degree: int = 3):
+    def __init__(self, n_components: int, kernel: str = "gaussian"):
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
         if n_components < 1:
             raise ValueError("n_components must be >= 1")
         self.n_components = n_components
         self.kernel = kernel
-        self.gamma = gamma
-        self.degree = degree
         self._fitted = False
 
     # -- kernel ----------------------------------------------------------
     def _k(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         if self.kernel == "gaussian":
-            return np.exp(-self._gamma * _pairwise_sqdist(A, B))
+            return np.exp(-self._gamma * pairwise_sqdist(A, B))
         if self.kernel == "polynomial":
-            return (A @ B.T + 1.0) ** self.degree
+            return (A @ B.T + 1.0) ** _DEGREE
         # perceptron: conditionally positive definite distance kernel
-        return -np.sqrt(_pairwise_sqdist(A, B))
+        return -np.sqrt(pairwise_sqdist(A, B))
 
     # -- fit / transform -------------------------------------------------
     def fit(self, X: np.ndarray) -> "KernelPCA":
@@ -64,7 +73,7 @@ class KernelPCA:
             raise ValueError("X must be (n >= 2, d)")
         self.X = X
         n, d = X.shape
-        self._gamma = self.gamma if self.gamma is not None else 1.0 / d
+        self._gamma = 1.0 / d
         K = self._k(X, X)
         one = np.full((n, n), 1.0 / n)
         Kc = K - one @ K - K @ one + one @ K @ one
@@ -77,7 +86,6 @@ class KernelPCA:
         if m == 0:
             raise ValueError("no positive-eigenvalue components; degenerate input")
         self.eigenvalues_ = vals[:m]
-        self.all_eigenvalues_ = vals
         # alphas scaled so projections are <phi(x), v_i> with unit-norm v_i
         self.alphas_ = vecs[:, :m] / np.sqrt(vals[:m])
         self._K_fit = K
@@ -103,12 +111,8 @@ class KernelPCA:
         Kc = self._center_cross(self._k(Xnew, self.X))
         return Kc @ self.alphas_
 
-    def explained_ratio(self) -> np.ndarray:
-        """Cumulative eigenvalue mass captured by the kept components."""
-        return np.cumsum(self.eigenvalues_) / np.sum(self.all_eigenvalues_)
-
     # -- pre-image -------------------------------------------------------
-    def inverse_transform(self, Z: np.ndarray, *, n_iter: int = 60, tol: float = 1e-8) -> np.ndarray:
+    def inverse_transform(self, Z: np.ndarray) -> np.ndarray:
         """Approximate pre-images of latent points ``Z`` (m,) or (n, m).
 
         For the Gaussian kernel this is Mika et al.'s fixed-point
@@ -133,7 +137,7 @@ class KernelPCA:
                 out[r] = (w @ self.X) / s if s > 1e-12 else self.X.mean(axis=0)
                 continue
             x = self.X.mean(axis=0)
-            for _ in range(n_iter):
+            for _ in range(_PREIMAGE_ITERS):
                 k = np.exp(-self._gamma * np.sum((self.X - x) ** 2, axis=1))
                 num = (w * k) @ self.X
                 den = float(w @ k)
@@ -142,18 +146,18 @@ class KernelPCA:
                 x_new = num / den
                 if not np.all(np.isfinite(x_new)):
                     break
-                if np.linalg.norm(x_new - x) < tol:
+                if np.linalg.norm(x_new - x) < _PREIMAGE_TOL:
                     x = x_new
                     break
                 x = x_new
             out[r] = np.clip(x, 0.0, 1.0)
         return out
 
-    def latent_bounds(self, margin: float = 0.15) -> tuple[np.ndarray, np.ndarray]:
+    def latent_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned box around the training projections, padded by
-        ``margin`` of each side's span — the BO search region in the
+        ``_LATENT_MARGIN`` of each side's span — the BO search region in the
         extracted-parameter space."""
         Ztr = self.transform(self.X)
         lo, hi = Ztr.min(axis=0), Ztr.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
-        return lo - margin * span, hi + margin * span
+        return lo - _LATENT_MARGIN * span, hi + _LATENT_MARGIN * span

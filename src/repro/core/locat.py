@@ -15,7 +15,7 @@ Pipeline (paper Figure 3):
    extracted low-dimensional parameters.
 4. **DAGP-BO** — BO over (extracted parameters, data size), evaluating
    only the RQA, with EI-MCMC acquisition, until at least 10 iterations
-   ran and EI dropped under 10% of the incumbent.
+   ran and EI dropped under ``EI_FRAC`` = 10% of the incumbent.
 
 ``use_qcsa`` / ``use_iicp`` switches support the paper's ablations: all
 -parameter tuning (Figure 15's AP vs IP) and grafting QCSA/IICP onto
@@ -28,15 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.acquisition import EIMCMC
-from repro.core.bo import bo_minimize
+from repro.core.bo import N_INIT, bo_minimize
 from repro.core.configspace import ConfigSpace
-from repro.core.dagp import augment_with_ds, ds_normalize
-from repro.core.iicp import IICPResult, iicp
+from repro.core.dagp import DS_BOX, augment_with_ds, ds_normalize
+from repro.core.iicp import IICPResult, cpe, iicp
 from repro.core.qcsa import QCSAResult, classify, qcsa_from_runs
 from repro.core.result import TuneResult
 from repro.execmodel.interface import Executor, RunResult
 
-__all__ = ["Locat", "LocatState"]
+__all__ = ["EI_FRAC", "Locat", "LocatState"]
+
+#: Stop rule: EI below this fraction of the incumbent (paper Section 3.4).
+EI_FRAC = 0.10
+#: BO iterations between refits of CPE's KPCA.
+_REFIT_EVERY = 8
 
 
 @dataclass
@@ -70,8 +75,6 @@ class Locat:
         max_iters: int = 35,
         retune_min_iters: int = 6,
         retune_max_iters: int = 16,
-        ei_frac: float = 0.10,
-        kernel: str = "gaussian",
         n_hyper: int = 5,
         n_candidates: int = 250,
         use_qcsa: bool = True,
@@ -85,8 +88,6 @@ class Locat:
         self.max_iters = max_iters
         self.retune_min_iters = retune_min_iters
         self.retune_max_iters = retune_max_iters
-        self.ei_frac = ei_frac
-        self.kernel = kernel
         self.n_hyper = n_hyper
         self.n_candidates = n_candidates
         self.use_qcsa = use_qcsa
@@ -105,7 +106,7 @@ class Locat:
         """
         confs: list[dict] = []
         runs: list[RunResult] = []
-        for conf in self.space.sample_lhs(min(3, self.n_qcsa), rng):
+        for conf in self.space.sample_lhs(min(N_INIT, self.n_qcsa), rng):
             conf = executor.repair(conf, self.space)
             confs.append(conf)
             runs.append(executor.run(conf, ds))
@@ -132,10 +133,8 @@ class Locat:
         ``N_IICP`` samples; as DAGP-BO adds evaluations, refitting widens
         the reachable configuration manifold (the GP model "is improved
         after each execution", Section 3.4)."""
-        from repro.core.iicp import cpe
-
         ii = state.iicp
-        kp = cpe(state.confs, ii.subspace, kernel=self.kernel, n_components=ii.n_components)
+        kp = cpe(state.confs, ii.subspace, n_components=ii.n_components)
         state.iicp = IICPResult(ii.space, ii.cps_result, ii.subspace, kp, kp.n_components)
         state.Z = [state.iicp.to_latent(c) for c in state.confs]
 
@@ -148,7 +147,6 @@ class Locat:
         *,
         min_iters: int,
         max_iters: int,
-        refit_every: int = 8,
     ) -> None:
         """Run BO at data size ``ds``, appending evaluations to ``state``."""
         rqa = state.qcsa.rqa
@@ -162,8 +160,8 @@ class Locat:
             else:
                 z_lo = np.zeros(self.space.dim)
                 z_hi = np.ones(self.space.dim)
-            lo = np.concatenate([z_lo, [0.02]])
-            hi = np.concatenate([z_hi, [2.6]])
+            lo = np.concatenate([z_lo, [DS_BOX[0]]])
+            hi = np.concatenate([z_hi, [DS_BOX[1]]])
             iicp_now = state.iicp
 
             def f(x: np.ndarray) -> float:
@@ -180,7 +178,7 @@ class Locat:
                 state.confs.append(conf)
                 return r.total
 
-            chunk = min(refit_every, max_iters - done)
+            chunk = min(_REFIT_EVERY, max_iters - done)
             res = bo_minimize(
                 f,
                 lo,
@@ -188,7 +186,7 @@ class Locat:
                 rng,
                 min_iters=chunk,
                 max_iters=chunk,
-                ei_frac=self.ei_frac,
+                ei_frac=EI_FRAC,
                 n_candidates=self.n_candidates,
                 n_hyper=self.n_hyper,
                 init_X=augment_with_ds(np.vstack(state.Z), state.ds),
@@ -198,22 +196,20 @@ class Locat:
             )
             done += res.n_iters
             # stop rule: enough iterations and the last chunk's EI faded
-            if done >= min_iters and res.ei_history and res.ei_history[-1] < self.ei_frac * abs(
+            if done >= min_iters and res.ei_history and res.ei_history[-1] < EI_FRAC * abs(
                 min(state.y)
             ):
                 break
-            if res.n_iters == 0:
-                break
 
     def _best_at(self, executor: Executor, ds: float, state: LocatState) -> tuple[dict, float]:
-        """Recommend the configuration minimizing the DAGP *posterior mean*
-        at size ``ds`` among all sampled configurations.
+        """Recommend a configuration for size ``ds`` by confirmation runs.
 
-        Single noisy observations over-reward lucky runs (winner's curse);
-        the GP recommendation de-noises by pooling information across all
-        samples — including those taken at other data sizes, which is the
-        DAGP payoff. Falls back to the best raw observation if the GP is
-        degenerate."""
+        Re-runs the RQA (charged) under the 3 best configurations observed
+        at this size and the 2 best observed at other sizes, and returns the
+        one with the lowest confirmed time. At this size a re-run is
+        averaged with the first observation; a configuration from another
+        size is scored by its re-run alone. Single noisy observations
+        over-reward lucky runs (winner's curse), which the re-run damps."""
         y = np.asarray(state.y)
         at_ds = [i for i, d in enumerate(state.ds) if abs(d - ds) < 1e-9]
         at_ds_set = set(at_ds)
@@ -246,12 +242,7 @@ class Locat:
             {q: 1.0 for q in executor.query_names}
         )
         ii = (
-            iicp(
-                confs[: self.n_iicp],
-                np.array([r.total for r in runs[: self.n_iicp]]),
-                self.space,
-                kernel=self.kernel,
-            )
+            iicp(confs[: self.n_iicp], np.array([r.total for r in runs[: self.n_iicp]]), self.space)
             if self.use_iicp
             else None
         )

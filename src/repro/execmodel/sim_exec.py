@@ -16,9 +16,9 @@ from repro.cluster.simulator import SimulatedCluster
 __all__ = ["make_executor"]
 
 
-def make_executor(benchmark: str, spec: ClusterSpec, *, seed: int = 0, noise: float = 0.12) -> SimulatedCluster:
+def make_executor(benchmark: str, spec: ClusterSpec, *, seed: int = 0) -> SimulatedCluster:
     """Executor for one of the paper's five benchmarks (Table 1)."""
     sets = PROFILE_SETS()
     if benchmark not in sets:
         raise KeyError(f"unknown benchmark {benchmark!r}; choose from {list(sets)}")
-    return SimulatedCluster(spec, sets[benchmark], seed=seed, noise=noise)
+    return SimulatedCluster(spec, sets[benchmark], seed=seed)

@@ -51,10 +51,9 @@ RUNTIME_TUNABLE = {
 class SparkSQLExecutor:
     """Executor protocol over live Spark SQL."""
 
-    def __init__(self, spark: SparkSession, benchmark: Benchmark, *, action: str = "noop"):
+    def __init__(self, spark: SparkSession, benchmark: Benchmark):
         self.spark = spark
         self.benchmark = benchmark
-        self.action = action
         self.charged_seconds = 0.0
         self.n_runs = 0
         self._tables_cache: dict[float, dict] = {}
@@ -111,13 +110,8 @@ class SparkSQLExecutor:
 
     # -- execution -------------------------------------------------------
     def _execute_query(self, sql: str) -> None:
-        df = self.spark.sql(sql)
-        if self.action == "noop":
-            df.write.format("noop").mode("overwrite").save()
-        elif self.action == "count":
-            df.count()
-        else:
-            df.collect()
+        """Run the whole plan and discard the rows (Spark's noop sink)."""
+        self.spark.sql(sql).write.format("noop").mode("overwrite").save()
 
     def _run(self, conf: dict, sf: float, queries: list[str] | None, charge: bool) -> RunResult:
         from repro.workloads.registry import register_views

@@ -18,6 +18,7 @@ from repro.execmodel.sim_exec import make_executor
 __all__ = [
     "BENCHMARKS",
     "DATA_SIZES_GB",
+    "EXEC_SEED",
     "SOTA",
     "cluster_for",
     "space_for",
@@ -29,6 +30,8 @@ __all__ = [
 BENCHMARKS = ("TPC-DS", "TPC-H", "Join", "Scan", "Aggregation")
 DATA_SIZES_GB = (100.0, 200.0, 300.0, 400.0, 500.0)
 SOTA = ("Tuneful", "DAC", "GBO-RL", "QTune")
+#: Simulator noise seed of every tuning campaign.
+EXEC_SEED = 3
 
 
 def cluster_for(name: str) -> ClusterSpec:
@@ -60,12 +63,11 @@ def run_campaign(
     ds,
     *,
     seed: int = 5,
-    exec_seed: int = 3,
     **tuner_kw,
 ):
     """One tuning campaign; returns TuneResult (single ds) or dict (list)."""
     space = space_for(cluster)
-    ex = make_executor(benchmark, cluster_for(cluster), seed=exec_seed)
+    ex = make_executor(benchmark, cluster_for(cluster), seed=EXEC_SEED)
     tuner = make_tuner(tuner_name, space, seed, **tuner_kw)
     if isinstance(ds, (list, tuple)):
         return tuner.tune_multi(ex, list(ds)), ex

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.qcsa import compute_cvs
+from repro.core.qcsa import qcsa_from_runs
 from repro.experiments.common import cluster_for, space_for
 from repro.execmodel.sim_exec import make_executor
 
@@ -29,14 +29,7 @@ def run(*, cluster: str = "arm", max_samples: int = 50, ds: float = 100.0, seed:
             conf = ex.sample_feasible(space, rng)
             runs.append(ex.run(conf, ds))
             if n >= 5 and n % 5 == 0:
-                table = pd.DataFrame(
-                    [
-                        {"query": q, "run": j, "time": t}
-                        for j, r in enumerate(runs)
-                        for q, t in r.times.items()
-                    ]
-                )
-                cvs = compute_cvs(table)
+                cvs = qcsa_from_runs(runs).cvs
                 rows.append(
                     {
                         "benchmark": bench,

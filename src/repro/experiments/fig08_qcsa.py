@@ -11,12 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.cluster.profiles import TPCDS_CSQ
+from repro.cluster.profiles import TPCDS_CSQ, TPCDS_CSQ_NAMES
 from repro.core.qcsa import N_QCSA, qcsa_from_runs
 from repro.experiments.common import cluster_for, space_for
 from repro.execmodel.sim_exec import make_executor
 
-__all__ = ["PAPER", "run", "paper_csq_names"]
+__all__ = ["PAPER", "run"]
 
 PAPER = {
     "n_queries": 104,
@@ -27,14 +27,6 @@ PAPER = {
     "cv_q14b": 2.8,
     "kept": list(TPCDS_CSQ),
 }
-
-
-def paper_csq_names() -> set[str]:
-    """The paper's 23 CSQs, normalized to zero-padded names."""
-    return {
-        f"Q{int(q[1:-1]):02d}{q[-1]}" if q[-1] in "ab" else f"Q{int(q[1:]):02d}"
-        for q in TPCDS_CSQ
-    }
 
 
 def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_samples: int = N_QCSA):
@@ -57,7 +49,7 @@ def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_samples: in
                 "n_queries": len(res.cvs),
                 "n_kept": len(res.csq),
                 "n_removed": len(res.ciq),
-                "overlap_with_paper_csq": len(kept & paper_csq_names()),
+                "overlap_with_paper_csq": len(kept & TPCDS_CSQ_NAMES),
                 "cv_threshold": res.threshold,
                 "cv_q04": res.cvs["Q04"],
                 "cv_q72": res.cvs["Q72"],

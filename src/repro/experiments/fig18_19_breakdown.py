@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.experiments.common import SOTA, cluster_for, run_campaign, space_for
+from repro.cluster.profiles import TPCDS_CSQ_NAMES
+from repro.experiments.common import EXEC_SEED, SOTA, cluster_for, run_campaign, space_for
 from repro.execmodel.sim_exec import make_executor
-from repro.experiments.fig08_qcsa import paper_csq_names
 
 __all__ = ["PAPER", "run_fig18", "run_fig19"]
 
@@ -26,28 +26,27 @@ _TUNERS = ("LOCAT",) + SOTA
 
 
 def run_fig18(*, cluster: str = "arm", sizes=(100.0, 300.0, 500.0), seed: int = 5) -> pd.DataFrame:
-    csq = paper_csq_names()
     rows = []
     space = space_for(cluster)
     for tuner in _TUNERS:
         multi, ex = run_campaign(tuner, "TPC-DS", cluster, list(sizes), seed=seed)
         for ds in sizes:
             r = ex.evaluate(multi[ds].best_conf, ds)
-            t_csq = sum(t for q, t in r.times.items() if q in csq)
-            t_ciq = sum(t for q, t in r.times.items() if q not in csq)
+            t_csq = sum(t for q, t in r.times.items() if q in TPCDS_CSQ_NAMES)
+            t_ciq = sum(t for q, t in r.times.items() if q not in TPCDS_CSQ_NAMES)
             rows.append(
                 {"tuner": tuner, "ds_gb": int(ds), "csq_time_s": t_csq, "ciq_time_s": t_ciq}
             )
     # default configuration for reference
-    ex = make_executor("TPC-DS", cluster_for(cluster), seed=3)
+    ex = make_executor("TPC-DS", cluster_for(cluster), seed=EXEC_SEED)
     for ds in sizes:
         r = ex.evaluate(space.default_conf(), ds)
         rows.append(
             {
                 "tuner": "default",
                 "ds_gb": int(ds),
-                "csq_time_s": sum(t for q, t in r.times.items() if q in csq),
-                "ciq_time_s": sum(t for q, t in r.times.items() if q not in csq),
+                "csq_time_s": sum(t for q, t in r.times.items() if q in TPCDS_CSQ_NAMES),
+                "ciq_time_s": sum(t for q, t in r.times.items() if q not in TPCDS_CSQ_NAMES),
             }
         )
     return pd.DataFrame(rows)

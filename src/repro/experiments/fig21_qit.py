@@ -23,7 +23,7 @@ import pandas as pd
 from repro.core.iicp import cps
 from repro.core.locat import Locat
 from repro.core.qcsa import qcsa_from_runs
-from repro.experiments.common import SOTA, cluster_for, make_tuner, space_for
+from repro.experiments.common import EXEC_SEED, SOTA, cluster_for, make_tuner, space_for
 from repro.execmodel.sim_exec import make_executor
 
 __all__ = ["PAPER", "run"]
@@ -43,7 +43,7 @@ _VARIANTS = ("APT", "IICP", "QCSA", "QIT")
 
 def _graft_run(tuner_name: str, variant: str, cluster: str, ds: float, seed: int):
     space = space_for(cluster)
-    ex = make_executor("TPC-DS", cluster_for(cluster), seed=3)
+    ex = make_executor("TPC-DS", cluster_for(cluster), seed=EXEC_SEED)
     use_qcsa = variant in ("QCSA", "QIT")
     use_iicp = variant in ("IICP", "QIT")
     if tuner_name == "DAGP":

@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["GBRTRegressor"]
 
+#: Fewest training rows a leaf may hold.
+_MIN_LEAF = 2
+
 
 @dataclass
 class _Node:
@@ -27,9 +30,8 @@ class _Node:
 class _Tree:
     """CART regression tree with exhaustive threshold search."""
 
-    def __init__(self, max_depth: int, min_leaf: int):
+    def __init__(self, max_depth: int):
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.importance: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_Tree":
@@ -39,7 +41,7 @@ class _Tree:
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
         node = _Node(value=float(y.mean()))
-        if depth >= self.max_depth or len(y) < 2 * self.min_leaf or np.ptp(y) == 0:
+        if depth >= self.max_depth or len(y) < 2 * _MIN_LEAF or np.ptp(y) == 0:
             return node
         n, d = X.shape
         base_sse = float(((y - y.mean()) ** 2).sum())
@@ -51,7 +53,7 @@ class _Tree:
             csum = np.cumsum(ys_s)
             csq = np.cumsum(ys_s**2)
             total, total_sq = csum[-1], csq[-1]
-            for i in range(self.min_leaf, n - self.min_leaf + 1):
+            for i in range(_MIN_LEAF, n - _MIN_LEAF + 1):
                 if i < n and xs_s[i - 1] == xs_s[i]:
                     continue  # cannot split between equal values
                 if i >= n:
@@ -85,11 +87,10 @@ class _Tree:
 class GBRTRegressor:
     """Least-squares gradient boosting over shallow CART trees."""
 
-    def __init__(self, n_estimators: int = 80, learning_rate: float = 0.1, max_depth: int = 3, min_leaf: int = 2):
+    def __init__(self, n_estimators: int = 80, learning_rate: float = 0.1, max_depth: int = 3):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBRTRegressor":
         X = np.asarray(X, dtype=float)
@@ -98,7 +99,7 @@ class GBRTRegressor:
         self._trees: list[_Tree] = []
         resid = y - self._base
         for _ in range(self.n_estimators):
-            t = _Tree(self.max_depth, self.min_leaf).fit(X, resid)
+            t = _Tree(self.max_depth).fit(X, resid)
             pred = t.predict(X)
             if np.allclose(pred, 0.0):
                 break

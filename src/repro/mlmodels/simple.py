@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kpca import pairwise_sqdist
+
 __all__ = ["LinearRegressor", "KernelRidgeRegressor", "LogisticRegressor", "KNNRegressor"]
 
 
@@ -22,22 +24,22 @@ class LinearRegressor:
 
 
 class KernelRidgeRegressor:
-    """RBF kernel ridge regression — the SVR substitute (see DESIGN.md)."""
+    """RBF kernel ridge regression — the SVR substitute (see DESIGN.md).
 
-    def __init__(self, alpha: float = 0.1, gamma: float | None = None):
+    The kernel width is ``gamma = 1 / d``, as in KPCA's Gaussian kernel.
+    """
+
+    def __init__(self, alpha: float = 0.1):
         self.alpha = alpha
-        self.gamma = gamma
 
     def _k(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        aa = np.sum(A * A, axis=1)[:, None]
-        bb = np.sum(B * B, axis=1)[None, :]
-        return np.exp(-self._g * np.maximum(aa + bb - 2 * A @ B.T, 0.0))
+        return np.exp(-self._g * pairwise_sqdist(A, B))
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KernelRidgeRegressor":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         self._X = X
-        self._g = self.gamma if self.gamma is not None else 1.0 / X.shape[1]
+        self._g = 1.0 / X.shape[1]
         self._ym = float(y.mean())
         K = self._k(X, X)
         self._a = np.linalg.solve(K + self.alpha * np.eye(len(X)), y - self._ym)
@@ -56,8 +58,10 @@ class LogisticRegressor:
     the paper's use of logistic regression on execution times.
     """
 
-    def __init__(self, lr: float = 0.5, n_iter: int = 2000):
-        self.lr = lr
+    #: Gradient-descent step size.
+    LR = 0.5
+
+    def __init__(self, n_iter: int = 2000):
         self.n_iter = n_iter
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressor":
@@ -70,7 +74,7 @@ class LogisticRegressor:
         w = np.zeros(A.shape[1])
         for _ in range(self.n_iter):
             p = 1.0 / (1.0 + np.exp(-A @ w))
-            w -= self.lr * A.T @ (p - t) / len(t)
+            w -= self.LR * A.T @ (p - t) / len(t)
         self._w = w
         return self
 

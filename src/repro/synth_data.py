@@ -18,29 +18,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    n = max(1, int(_N_LINEITEM_PER_SF * sf))
-    n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
-    n_part = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "l_orderkey": g.integers(1, n_orders + 1, n),
-            "l_partkey": g.integers(1, n_part + 1, n),
-            "l_linenumber": g.integers(1, 8, n),
-            "l_quantity": g.integers(1, 51, n).astype("float64"),
-            "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
-            "l_discount": (g.random(n) * 0.1).round(2),
-            "l_tax": (g.random(n) * 0.08).round(2),
-            "l_returnflag": g.choice(list("NRA"), n),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipdate": pd.to_datetime("1992-01-01")
-            + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
 def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
@@ -56,23 +33,6 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
             "o_orderpriority": g.choice(
                 ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT", "5-LOW"], n
             ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "p_partkey": np.arange(1, n + 1),
-            "p_type": g.choice(
-                ["STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"], n
-            ),
-            "p_brand": g.choice([f"Brand#{i}{j}" for i in range(1, 6) for j in range(1, 6)], n),
-            "p_size": g.integers(1, 51, n),
-            "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
         }
     )
     return spark.createDataFrame(pdf)
@@ -94,27 +54,10 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
-
-
 # --------------------------------------------------------------------------
-# TPC-H-lite extensions (supplier/nation + extra lineitem/part columns live
-# in their generators below) — added for the LOCAT reproduction so the real
-# Spark workloads can express multi-way joins like Q5/Q7.
+# TPC-H-lite supplier/nation, and lineitem/part with the extra columns the
+# query set needs, so the real Spark workloads can express multi-way joins
+# like Q5/Q7.
 # --------------------------------------------------------------------------
 
 _N_SUPPLIER_PER_SF = 10_000
@@ -156,13 +99,9 @@ def nation(spark: SparkSession) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def lineitem_ext(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    """lineitem with the extra TPC-H columns the query set needs.
-
-    Superset of :func:`lineitem` (same n/keys distributions, independent
-    draws) adding l_suppkey, l_shipmode, l_shipinstruct, l_commitdate and
-    l_receiptdate.
-    """
+def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+    """TPC-H lineitem-lite, including l_suppkey, l_shipmode, l_shipinstruct,
+    l_commitdate and l_receiptdate."""
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
@@ -193,8 +132,8 @@ def lineitem_ext(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> Dat
     return spark.createDataFrame(pdf)
 
 
-def part_ext(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
-    """part with p_container added (needed by TPC-H Q19)."""
+def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
+    """TPC-H part-lite, including p_container (needed by TPC-H Q19)."""
     n = max(1, int(_N_PART_PER_SF * sf))
     g = _rng(seed)
     pdf = pd.DataFrame(

@@ -20,10 +20,10 @@ __all__ = ["TPCH_LITE", "tpch_tables"]
 def tpch_tables(spark: SparkSession, sf: float = 0.01) -> dict:
     """Generate the TPC-H-lite tables at scale factor ``sf``."""
     return {
-        "lineitem": synth_data.lineitem_ext(spark, sf=sf),
+        "lineitem": synth_data.lineitem(spark, sf=sf),
         "orders": synth_data.orders(spark, sf=sf),
         "customer": synth_data.customer(spark, sf=sf),
-        "part": synth_data.part_ext(spark, sf=sf),
+        "part": synth_data.part(spark, sf=sf),
         "supplier": synth_data.supplier(spark, sf=sf),
         "nation": synth_data.nation(spark),
     }

@@ -288,8 +288,7 @@ class TestAcquisition:
         scores = acq.score(np.array([[0.3], [0.95]]))
         assert scores.shape == (2,)
         assert np.all(scores >= 0)
-        mu, var = acq.predict(np.array([[0.3], [0.95]]))
-        assert mu[0] < mu[1]
+        assert scores[0] > scores[1]
 
 
 # ---------------------------------------------------------------- KPCA
@@ -304,12 +303,6 @@ class TestKPCA:
         Z = kp.transform(X)
         assert Z.shape == (30, 3)
         assert np.all(np.diff(kp.eigenvalues_) <= 1e-9)  # descending
-
-    def test_explained_ratio_monotone(self):
-        kp = KernelPCA(4).fit(self._X())
-        r = kp.explained_ratio()
-        assert np.all(np.diff(r) >= 0)
-        assert 0 < r[-1] <= 1.0 + 1e-9
 
     def test_gaussian_preimage_roundtrip_reasonable(self):
         X = self._X(n=40, d=4, seed=1)

@@ -26,6 +26,7 @@ CHEAP = (
     "fig08_per_query_cv",
     "fig09_niicp",
     "fig10_cps_cpe",
+    "fig16_models",
     "fig17_iicp_gbrt",
 )
 

@@ -110,7 +110,7 @@ class TestCPS:
     def test_flat_response_keeps_one(self):
         rng = np.random.default_rng(1)
         confs = [ARM.sample_random(rng) for _ in range(20)]
-        res = cps(confs, np.full(20, 7.0), ARM, threshold=0.99)
+        res = cps(confs, np.full(20, 7.0), ARM)
         assert len(res.kept) == 1
 
     def test_length_mismatch(self):
@@ -151,16 +151,6 @@ class TestCPEAndIICP:
         for name in ARM.names:
             if name not in res.cps_result.kept:
                 assert conf[name] == defaults[name]
-
-    def test_to_conf_respects_base(self):
-        confs = self._confs(25, seed=4)
-        times = np.arange(25, dtype=float)
-        res = iicp(confs, times, ARM)
-        base = ARM.default_conf()
-        untuned = next(n for n in ARM.names if n not in res.cps_result.kept)
-        base[untuned] = ARM[untuned].clip(base[untuned])
-        conf = res.to_conf(np.zeros(res.n_components), base=base)
-        assert conf[untuned] == base[untuned]
 
     def test_latent_bounds_shape(self):
         confs = self._confs(25, seed=5)

@@ -8,16 +8,11 @@ SF = 0.002
 
 class TestTpchTables:
     def test_lineitem_ext_schema_and_counts(self, spark):
-        df = sd.lineitem_ext(spark, sf=SF)
+        df = sd.lineitem(spark, sf=SF)
         cols = set(df.columns)
         assert {"l_orderkey", "l_suppkey", "l_shipmode", "l_commitdate",
                 "l_receiptdate", "l_shipinstruct"} <= cols
         assert df.count() == int(6_000_000 * SF)
-
-    def test_lineitem_ext_superset_of_lineitem(self, spark):
-        base = set(sd.lineitem(spark, sf=SF).columns)
-        ext = set(sd.lineitem_ext(spark, sf=SF).columns)
-        assert base <= ext
 
     def test_supplier(self, spark):
         df = sd.supplier(spark, sf=SF)
@@ -32,7 +27,7 @@ class TestTpchTables:
         assert regions == {"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 
     def test_part_ext_has_container(self, spark):
-        df = sd.part_ext(spark, sf=SF)
+        df = sd.part(spark, sf=SF)
         assert "p_container" in df.columns
 
     def test_determinism(self, spark):
@@ -76,13 +71,3 @@ class TestHiBenchTables:
         rk = sd.rankings(spark, sf=SF)
         joined = uv.join(rk, uv.destURL == rk.pageURL)
         assert joined.count() == uv.count()
-
-
-class TestKeyGenerators:
-    def test_zipf_skewed(self, spark):
-        df = sd.zipf_keys(spark, n=20_000, n_keys=1000).groupBy("k").count().toPandas()
-        assert df["count"].max() > 10 * df["count"].median()
-
-    def test_uniform_spread(self, spark):
-        df = sd.uniform_keys(spark, n=20_000, n_keys=100).groupBy("k").count().toPandas()
-        assert df["count"].max() < 3 * df["count"].median()
