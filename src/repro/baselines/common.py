@@ -27,7 +27,7 @@ __all__ = ["BaseTuner"]
 
 
 class BaseTuner:
-    """Common scaffolding: run bookkeeping, multi-size."""
+    """Common scaffolding: charged runs, multi-size."""
 
     name = "base"
 
@@ -40,23 +40,16 @@ class BaseTuner:
     def _run(self, executor: Executor, conf: dict, ds: float) -> float:
         return executor.run(conf, ds, self.queries).total
 
-    def _result(self, executor: Executor, best_conf: dict, ds: float, t0: float, n0: int) -> TuneResult:
-        return TuneResult(
-            tuner=self.name,
-            best_conf=best_conf,
-            best_time=executor.evaluate(best_conf, ds).total,
-            opt_seconds=executor.charged_seconds - t0,
-            n_runs=executor.n_runs - n0,
-            ds=ds,
-            extras={},
-        )
-
     # -- API -------------------------------------------------------------
     def tune(self, executor: Executor, ds: float) -> TuneResult:  # pragma: no cover
         raise NotImplementedError
 
     def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
-        """Default: no datasize adaptation — full re-tune per size."""
+        """Default: no datasize adaptation — full re-tune per size.
+
+        Before the ``i``-th size the tuner's seed grows by ``i``, so a
+        tuner built with seed ``s`` tunes three sizes with seeds ``s``,
+        ``s + 1`` and ``s + 3``, and keeps the last seed afterwards."""
         out = {}
         for i, ds in enumerate(ds_list):
             self.seed += i  # fresh randomness per campaign

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.baselines.common import BaseTuner
 from repro.core.dagp import ds_normalize
-from repro.core.result import TuneResult
+from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 from repro.mlmodels import GBRTRegressor
 
@@ -45,7 +45,6 @@ class DAC(BaseTuner):
         self.validate_top = validate_top
         self._X: list[np.ndarray] = []  # (normalized conf, ds) training rows
         self._y: list[float] = []
-        self._confs: list[dict] = []
 
     @property
     def n_train(self) -> int:
@@ -57,7 +56,6 @@ class DAC(BaseTuner):
             t = self._run(executor, conf, ds)
             self._X.append(np.concatenate([self.space.to_vector(conf), [ds_normalize(ds)]]))
             self._y.append(t)
-            self._confs.append(conf)
 
     def _ga(self, model: GBRTRegressor, ds: float, rng) -> list[np.ndarray]:
         """Genetic search on the surrogate; returns top candidate vectors."""
@@ -88,16 +86,16 @@ class DAC(BaseTuner):
         # model bootstrap (full cost) or datasize-aware top-up
         need = self.n_train if not self._X else int(self.n_train * self.RETUNE_FRAC)
         self._collect(executor, ds, need, rng)
+        k = executor.n_runs
         model = GBRTRegressor(n_estimators=60, max_depth=4).fit(np.vstack(self._X), np.array(self._y))
         # GA search on the model, then validate candidates on the cluster
-        evals: list[tuple[dict, float]] = []
         for u in self._ga(model, ds, rng):
             conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
-            evals.append((conf, self._run(executor, conf, ds)))
+            self._run(executor, conf, ds)
         # DAC's protocol selects among the validated GA candidates; the
         # random training samples only feed the model.
-        best_conf = min(evals, key=lambda e: e[1])[0]
-        return self._result(executor, best_conf, ds, t0, n0)
+        best_conf = min(executor.runs[k:], key=lambda r: r.total).conf
+        return tune_result(self.name, executor, best_conf, ds, n0, t0)
 
     def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
         """Datasize-aware: the model persists; later sizes only top up."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.baselines.common import BaseTuner
 from repro.core.bo import bo_minimize
-from repro.core.result import TuneResult
+from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["GBORL"]
@@ -54,21 +54,16 @@ class GBORL(BaseTuner):
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
         n0 = executor.n_runs
-        evals: list[tuple[dict, float]] = []
 
         warm_X, warm_y = [], []
         for _ in range(self.n_warm):
             conf = executor.repair(self._memory_guided(rng), self.space)
-            t = self._run(executor, conf, ds)
             warm_X.append(self.space.to_vector(conf))
-            warm_y.append(t)
-            evals.append((conf, t))
+            warm_y.append(self._run(executor, conf, ds))
 
         def f(u: np.ndarray) -> float:
             conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
-            t = self._run(executor, conf, ds)
-            evals.append((conf, t))
-            return t
+            return self._run(executor, conf, ds)
 
         bo_minimize(
             f,
@@ -82,5 +77,5 @@ class GBORL(BaseTuner):
             init_y=np.array(warm_y),
             local_refine=False,
         )
-        best_conf = min(evals, key=lambda e: e[1])[0]
-        return self._result(executor, best_conf, ds, t0, n0)
+        best_conf = min(executor.runs[n0:], key=lambda r: r.total).conf
+        return tune_result(self.name, executor, best_conf, ds, n0, t0)

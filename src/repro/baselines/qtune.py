@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import BaseTuner
-from repro.core.result import TuneResult
+from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["QTune"]
@@ -70,4 +70,4 @@ class QTune(BaseTuner):
         mean = 1.0 / (1.0 + np.exp(-(W @ feat)))
         best_conf = executor.repair(self.space.from_vector(mean), self.space)
         self._run(executor, best_conf, ds)  # charged deployment check
-        return self._result(executor, best_conf, ds, t0, n0)
+        return tune_result(self.name, executor, best_conf, ds, n0, t0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.baselines.common import BaseTuner
 from repro.core.bo import bo_minimize
-from repro.core.result import TuneResult
+from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["Tuneful"]
@@ -60,17 +60,15 @@ class Tuneful(BaseTuner):
         t0 = executor.charged_seconds
         n0 = executor.n_runs
         kept = self._oat(executor, ds, rng)
+        k = executor.n_runs
         sub = self.space.subspace(kept)
         base = self.space.default_conf()
-        evals: list[tuple[dict, float]] = []
 
         def f(u: np.ndarray) -> float:
             conf = dict(base)
             conf.update(sub.from_vector(np.clip(u, 0.0, 1.0)))
             conf = executor.repair(conf, self.space)
-            t = self._run(executor, conf, ds)
-            evals.append((conf, t))
-            return t
+            return self._run(executor, conf, ds)
 
         bo_minimize(
             f,
@@ -82,5 +80,6 @@ class Tuneful(BaseTuner):
             ei_frac=0.10,
             local_refine=False,
         )
-        best_conf = min(evals, key=lambda e: e[1])[0]
-        return self._result(executor, best_conf, ds, t0, n0)
+        # the best BO run; the OAT sweeps only rank the parameters
+        best_conf = min(executor.runs[k:], key=lambda r: r.total).conf
+        return tune_result(self.name, executor, best_conf, ds, n0, t0)

@@ -115,7 +115,8 @@ class SimulatedCluster:
     implements the :class:`~repro.execmodel.interface.Executor` protocol.
 
     ``run`` charges the simulated seconds to ``charged_seconds`` — the
-    quantity every "optimization time" comparison in the paper measures.
+    quantity every "optimization time" comparison in the paper measures —
+    and appends the run to ``runs``.
     ``evaluate`` prices a configuration without charging (used to score
     final tuned configurations, mirroring the paper's separate speedup
     measurements).
@@ -131,10 +132,14 @@ class SimulatedCluster:
         self.seed = seed
         self.noise = noise
         self.charged_seconds = 0.0
-        self.n_runs = 0
+        self.runs: list[RunResult] = []
         self._defaults = {p.name: p.clip(p.default) for p in TABLE2}
 
     # -- public API ------------------------------------------------------
+    @property
+    def n_runs(self) -> int:
+        return len(self.runs)
+
     @property
     def query_names(self) -> list[str]:
         return list(self.profiles)
@@ -222,10 +227,11 @@ class SimulatedCluster:
         return {k: v for k, v in conf.items() if k in given_keys | adjusted}
 
     def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
-        """Execute the (possibly reduced) application at ``ds`` GB; charge its time."""
+        """Execute the (possibly reduced) application at ``ds`` GB; charge its
+        time and log the run."""
         r = self._execute(conf, ds, queries, noisy=True)
         self.charged_seconds += r.total
-        self.n_runs += 1
+        self.runs.append(r)
         return r
 
     def evaluate(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:

@@ -33,7 +33,7 @@ from repro.core.configspace import ConfigSpace
 from repro.core.dagp import DS_BOX, augment_with_ds, ds_normalize
 from repro.core.iicp import IICPResult, cpe, iicp
 from repro.core.qcsa import QCSAResult, classify, qcsa_from_runs
-from repro.core.result import TuneResult
+from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor, RunResult
 
 __all__ = ["EI_FRAC", "Locat", "LocatState"]
@@ -256,17 +256,8 @@ class Locat:
 
         self._search(executor, ds, rng, state, min_iters=self.min_iters, max_iters=self.max_iters)
         best_conf, _ = self._best_at(executor, ds, state)
-        best_time = executor.evaluate(best_conf, ds).total
-        res = TuneResult(
-            tuner="LOCAT",
-            best_conf=best_conf,
-            best_time=best_time,
-            opt_seconds=executor.charged_seconds - t0,
-            n_runs=executor.n_runs - n0,
-            ds=ds,
-            extras={"state": state, "qcsa": qres, "iicp": ii},
-        )
-        return res
+        extras = {"state": state, "qcsa": qres, "iicp": ii}
+        return tune_result("LOCAT", executor, best_conf, ds, n0, t0, extras)
 
     def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
         """Online tuning across changing input data sizes.
@@ -293,13 +284,5 @@ class Locat:
                 max_iters=self.retune_max_iters,
             )
             best_conf, _ = self._best_at(executor, ds, state)
-            out[ds] = TuneResult(
-                tuner="LOCAT",
-                best_conf=best_conf,
-                best_time=executor.evaluate(best_conf, ds).total,
-                opt_seconds=executor.charged_seconds - t0,
-                n_runs=executor.n_runs - n0,
-                ds=ds,
-                extras={"state": state},
-            )
+            out[ds] = tune_result("LOCAT", executor, best_conf, ds, n0, t0, {"state": state})
         return out

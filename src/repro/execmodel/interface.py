@@ -4,9 +4,11 @@ baselines) sees of "the cluster".
 The paper's tuners are black-box optimizers: they submit a configuration,
 the application runs, and per-query execution times come back. ``run``
 charges the execution to the executor's optimization-time meter (the
-quantity Figures 11/12/20 compare); ``evaluate`` prices a configuration
-without charging (used for the final speedup measurements of Figures
-13/14, which the paper performs after tuning finishes).
+quantity Figures 11/12/20 compare) and appends its :class:`RunResult` to
+``runs``, the executor's log of charged runs; ``evaluate`` prices a
+configuration without charging or logging (used for the final speedup
+measurements of Figures 13/14, which the paper performs after tuning
+finishes).
 
 Both substrates implement :class:`Executor` directly: the analytic
 :class:`~repro.cluster.simulator.SimulatedCluster` and the live
@@ -48,7 +50,7 @@ class Executor(Protocol):
         ...
 
     def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
-        """Execute (a subset of) the application; charge its time."""
+        """Execute (a subset of) the application; charge its time and log the run."""
         ...
 
     def evaluate(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
@@ -66,8 +68,13 @@ class Executor(Protocol):
         ...
 
     @property
+    def runs(self) -> list[RunResult]:
+        """Every charged run so far, in order."""
+        ...
+
+    @property
     def n_runs(self) -> int:
-        """Number of charged runs so far."""
+        """Number of charged runs so far: ``len(runs)``."""
         ...
 
     def sample_feasible(self, space, rng) -> dict:

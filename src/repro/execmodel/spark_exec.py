@@ -55,7 +55,7 @@ class SparkSQLExecutor:
         self.spark = spark
         self.benchmark = benchmark
         self.charged_seconds = 0.0
-        self.n_runs = 0
+        self.runs: list[RunResult] = []
         self._tables_cache: dict[float, dict] = {}
         self.unsupported: set[str] = set()
 
@@ -65,6 +65,10 @@ class SparkSQLExecutor:
         if sf not in self._tables_cache:
             self._tables_cache[sf] = self.benchmark.make_tables(self.spark, sf)
         return self._tables_cache[sf]
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.runs)
 
     @property
     def query_names(self) -> list[str]:
@@ -131,7 +135,7 @@ class SparkSQLExecutor:
         r = RunResult(times, dict(conf), float(sf))
         if charge:
             self.charged_seconds += r.total
-            self.n_runs += 1
+            self.runs.append(r)
         return r
 
     def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:

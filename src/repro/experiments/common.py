@@ -9,6 +9,8 @@ Figures 11/12 setting).
 """
 from __future__ import annotations
 
+import functools
+
 from repro.baselines import DAC, GBORL, QTune, Tuneful
 from repro.cluster.hardware import ARM_CLUSTER, X86_CLUSTER, ClusterSpec
 from repro.core.configspace import ConfigSpace, arm_space, x86_space
@@ -42,7 +44,7 @@ def space_for(name: str) -> ConfigSpace:
     return {"arm": arm_space(), "x86": x86_space()}[name]
 
 
-def make_tuner(name: str, space: ConfigSpace, seed: int, queries=None, **kw):
+def make_tuner(name: str, space: ConfigSpace, seed: int, **kw):
     """Instantiate a tuner by its paper name."""
     cls = {
         "LOCAT": Locat,
@@ -51,9 +53,7 @@ def make_tuner(name: str, space: ConfigSpace, seed: int, queries=None, **kw):
         "GBO-RL": GBORL,
         "QTune": QTune,
     }[name]
-    if name == "LOCAT":
-        return cls(space, seed=seed, **kw)
-    return cls(space, seed=seed, queries=queries, **kw)
+    return cls(space, seed=seed, **kw)
 
 
 def run_campaign(
@@ -65,10 +65,21 @@ def run_campaign(
     seed: int = 5,
     **tuner_kw,
 ):
-    """One tuning campaign; returns TuneResult (single ds) or dict (list)."""
+    """One tuning campaign; returns ``(result, executor)``, where the result
+    is a TuneResult (single ds) or a dict of them (a list of sizes).
+
+    Campaigns are deterministic, so each one runs once per process: a
+    repeated call returns the same objects, which callers must not mutate.
+    """
+    key_ds = tuple(ds) if isinstance(ds, list) else ds
+    return _run_campaign(tuner_name, benchmark, cluster, key_ds, seed, tuple(sorted(tuner_kw.items())))
+
+
+@functools.cache
+def _run_campaign(tuner_name: str, benchmark: str, cluster: str, ds, seed: int, tuner_kw: tuple):
     space = space_for(cluster)
     ex = make_executor(benchmark, cluster_for(cluster), seed=EXEC_SEED)
-    tuner = make_tuner(tuner_name, space, seed, **tuner_kw)
-    if isinstance(ds, (list, tuple)):
+    tuner = make_tuner(tuner_name, space, seed, **dict(tuner_kw))
+    if isinstance(ds, tuple):
         return tuner.tune_multi(ex, list(ds)), ex
     return tuner.tune(ex, float(ds)), ex

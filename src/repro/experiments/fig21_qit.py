@@ -21,7 +21,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.iicp import cps
-from repro.core.locat import Locat
 from repro.core.qcsa import qcsa_from_runs
 from repro.experiments.common import EXEC_SEED, SOTA, cluster_for, make_tuner, space_for
 from repro.execmodel.sim_exec import make_executor
@@ -41,14 +40,16 @@ PAPER = {
 _VARIANTS = ("APT", "IICP", "QCSA", "QIT")
 
 
-def _graft_run(tuner_name: str, variant: str, cluster: str, ds: float, seed: int):
+def _graft_run(tuner_name: str, variant: str, cluster: str, ds: float, seed: int) -> tuple[float, float]:
+    """The noise-free full-application time of the tuned configuration and
+    the charged seconds, including the shared bootstrap."""
     space = space_for(cluster)
     ex = make_executor("TPC-DS", cluster_for(cluster), seed=EXEC_SEED)
     use_qcsa = variant in ("QCSA", "QIT")
     use_iicp = variant in ("IICP", "QIT")
     if tuner_name == "DAGP":
-        tuner = Locat(space, seed=seed, use_qcsa=use_qcsa, use_iicp=use_iicp)
-        return tuner.tune(ex, ds)
+        res = make_tuner("LOCAT", space, seed, use_qcsa=use_qcsa, use_iicp=use_iicp).tune(ex, ds)
+        return res.best_time, res.opt_seconds
     queries = None
     sub = space
     if use_qcsa or use_iicp:
@@ -64,9 +65,7 @@ def _graft_run(tuner_name: str, variant: str, cluster: str, ds: float, seed: int
     tuner = make_tuner(tuner_name, sub, seed, queries=queries)
     res = tuner.tune(ex, ds)
     # score the final configuration on the FULL application
-    res.best_time = ex.evaluate(space.complete(res.best_conf), ds).total
-    res.opt_seconds = ex.charged_seconds  # includes the bootstrap cost
-    return res
+    return ex.evaluate(space.complete(res.best_conf), ds).total, ex.charged_seconds
 
 
 def run(*, cluster: str = "arm", ds: float = 500.0, seed: int = 5, tuners=("DAGP",) + SOTA, variants=_VARIANTS) -> pd.DataFrame:
@@ -74,17 +73,17 @@ def run(*, cluster: str = "arm", ds: float = 500.0, seed: int = 5, tuners=("DAGP
     for tuner_name in tuners:
         base = None
         for variant in variants:
-            res = _graft_run(tuner_name, variant, cluster, ds, seed)
+            tuned_s, opt_s = _graft_run(tuner_name, variant, cluster, ds, seed)
             if variant == "APT":
-                base = res
+                base = (tuned_s, opt_s)
             rows.append(
                 {
                     "tuner": tuner_name,
                     "variant": variant,
-                    "tuned_time_s": res.best_time,
-                    "opt_h": res.opt_seconds / 3600.0,
-                    "perf_vs_apt_x": base.best_time / res.best_time if base else 1.0,
-                    "overhead_vs_apt_x": base.opt_seconds / res.opt_seconds if base else 1.0,
+                    "tuned_time_s": tuned_s,
+                    "opt_h": opt_s / 3600.0,
+                    "perf_vs_apt_x": base[0] / tuned_s if base else 1.0,
+                    "overhead_vs_apt_x": base[1] / opt_s if base else 1.0,
                 }
             )
     return pd.DataFrame(rows)

@@ -32,11 +32,13 @@ def test_run_and_evaluate_return_run_result(executor_ds):
     ex, ds = executor_ds
     queries = ex.query_names[:2]
     n0 = ex.n_runs
-    for r in (ex.run(ARM.default_conf(), ds, queries), ex.evaluate(ARM.default_conf(), ds, queries)):
+    run = ex.run(ARM.default_conf(), ds, queries)
+    assert ex.runs[n0:] == [run] and ex.runs[-1] is run  # run appends one record
+    for r in (run, ex.evaluate(ARM.default_conf(), ds, queries)):
         assert isinstance(r, RunResult)
         assert type(r.ds) is float and r.ds == ds
         assert list(r.times) == queries
-    assert ex.n_runs == n0 + 1  # evaluate is not charged
+    assert ex.n_runs == n0 + 1 == len(ex.runs)  # evaluate is neither charged nor logged
 
 
 def test_query_categories_cover_query_names(executor_ds):

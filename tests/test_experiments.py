@@ -5,6 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.experiments import (
+    common,
     fig06_kernels,
     fig07_nqcsa,
     fig08_qcsa,
@@ -154,3 +155,35 @@ class TestFig17:
         df = fig17_iicp_gbrt.run(runs=(10, 20, 30))
         tds = df[df.benchmark == "TPC-DS"]
         assert (tds.sd_iicp > tds.sd_gbrt).mean() >= 0.5
+
+
+class TestCampaignMemo:
+    """``run_campaign`` runs each campaign once per process."""
+
+    KW = dict(n_qcsa=8, n_iicp=6, min_iters=3, max_iters=6, n_candidates=60, n_hyper=3)
+
+    @pytest.fixture
+    def executors_built(self, monkeypatch):
+        common._run_campaign.cache_clear()
+        built = []
+        make = common.make_executor
+
+        def counted(*args, **kw):
+            built.append(args)
+            return make(*args, **kw)
+
+        monkeypatch.setattr(common, "make_executor", counted)
+        yield built
+        common._run_campaign.cache_clear()
+
+    def test_same_key_runs_once(self, executors_built):
+        first = common.run_campaign("LOCAT", "Join", "arm", [100.0, 200.0], **self.KW)
+        # keyword order does not change the key
+        again = common.run_campaign("LOCAT", "Join", "arm", [100.0, 200.0], **dict(reversed(self.KW.items())))
+        assert again is first
+        assert len(executors_built) == 1
+        ablated = common.run_campaign("LOCAT", "Join", "arm", [100.0, 200.0], use_iicp=False, **self.KW)
+        assert ablated is not first
+        assert len(executors_built) == 2
+        assert ablated[0][100.0].extras["iicp"] is None
+        assert first[0][100.0].extras["iicp"] is not None

@@ -17,15 +17,20 @@ def tpch_exec(spark):
 class TestSparkExecutor:
     def test_run_measures_and_charges(self, tpch_exec):
         before = tpch_exec.charged_seconds
+        n0 = len(tpch_exec.runs)
         r = tpch_exec.run(ARM.default_conf(), SF)
         assert set(r.times) == set(tpch_exec.query_names)
         assert all(t > 0 for t in r.times.values())
         assert tpch_exec.charged_seconds == pytest.approx(before + r.total)
+        assert tpch_exec.runs[n0:] == [r] and tpch_exec.runs[-1] is r
+        assert tpch_exec.n_runs == n0 + 1
 
     def test_evaluate_does_not_charge(self, tpch_exec):
         before = tpch_exec.charged_seconds
+        n0 = len(tpch_exec.runs)
         tpch_exec.evaluate(ARM.default_conf(), SF, ["Q06"])
         assert tpch_exec.charged_seconds == before
+        assert len(tpch_exec.runs) == tpch_exec.n_runs == n0
 
     def test_query_subset(self, tpch_exec):
         r = tpch_exec.run(ARM.default_conf(), SF, ["Q01", "Q06"])

@@ -38,6 +38,8 @@ class TestLocat:
         assert res.tuner == "LOCAT"
         assert res.opt_seconds == pytest.approx(ex.charged_seconds)
         assert res.n_runs >= 8
+        assert len(res.runs) == res.n_runs
+        assert sum(r.total for r in res.runs) == pytest.approx(res.opt_seconds)
         assert res.best_time > 0
         assert set(res.best_conf) == set(ARM.names)
 
@@ -78,6 +80,13 @@ class TestLocat:
             # later sizes reuse QCSA/IICP/DAGP state: far fewer runs
             assert out[ds].n_runs < first.n_runs / 2
             assert out[ds].best_time > 0
+        # each size's runs are the next consecutive slice of the executor's log
+        start = 0
+        for ds in (100.0, 200.0, 300.0):
+            runs = out[ds].runs
+            assert all(a is b for a, b in zip(runs, ex.runs[start:start + len(runs)]))
+            start += len(runs)
+        assert start == len(ex.runs)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +106,8 @@ class TestBaselines:
         assert res.tuner == name
         assert res.opt_seconds == pytest.approx(ex.charged_seconds)
         assert res.n_runs > 0
+        assert len(res.runs) == res.n_runs
+        assert sum(r.total for r in res.runs) == pytest.approx(res.opt_seconds)
         assert res.best_time > 0
 
     def test_rqa_restriction_reduces_cost(self, name, make):
