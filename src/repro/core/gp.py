@@ -143,6 +143,3 @@ class GP:
         mu = mu_n * self._y_std + self._y_mean
         var = var_n * self._y_std**2
         return mu, var
-
-    def log_marginal_likelihood(self) -> float:
-        return log_marginal_likelihood(self.X, self._yn, self.hyper)

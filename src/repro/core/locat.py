@@ -31,8 +31,8 @@ from repro.core.acquisition import EIMCMC
 from repro.core.bo import N_INIT, bo_minimize
 from repro.core.configspace import ConfigSpace
 from repro.core.dagp import DS_BOX, augment_with_ds, ds_normalize
-from repro.core.iicp import IICPResult, cpe, iicp
-from repro.core.qcsa import QCSAResult, classify, qcsa_from_runs
+from repro.core.iicp import N_IICP, IICPResult, cpe, iicp
+from repro.core.qcsa import N_QCSA, QCSAResult, classify, qcsa_from_runs
 from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor, RunResult
 
@@ -50,15 +50,14 @@ class LocatState:
 
     qcsa: QCSAResult
     iicp: IICPResult | None
-    Z: list[np.ndarray]  # latent (or normalized-conf) sample coordinates
-    ds: list[float]  # data size of each sample
-    y: list[float]  # RQA execution time of each sample
-    confs: list[dict]  # the full configuration of each sample
+    Z: list[np.ndarray]  # latent (or normalized-conf) coordinates of each run
+    runs: list[RunResult]  # the bootstrap and search runs, from the executor's log
 
-
-def _rqa_total(r: RunResult, rqa: list[str]) -> float:
-    keep = set(rqa)
-    return float(sum(r.times[q] for q in r.times if q in keep))
+    @property
+    def y(self) -> np.ndarray:
+        """RQA execution time of each run."""
+        rqa = set(self.qcsa.rqa)
+        return np.array([sum(t for q, t in r.times.items() if q in rqa) for r in self.runs])
 
 
 class Locat:
@@ -69,8 +68,8 @@ class Locat:
         space: ConfigSpace,
         *,
         seed: int = 0,
-        n_qcsa: int = 30,
-        n_iicp: int = 20,
+        n_qcsa: int = N_QCSA,
+        n_iicp: int = N_IICP,
         min_iters: int = 10,
         max_iters: int = 35,
         retune_min_iters: int = 6,
@@ -94,7 +93,7 @@ class Locat:
         self.use_iicp = use_iicp
 
     # -- phase 1: bootstrap ---------------------------------------------
-    def _bootstrap(self, executor: Executor, ds: float, rng) -> tuple[list[dict], list[RunResult]]:
+    def _bootstrap(self, executor: Executor, ds: float, rng) -> list[RunResult]:
         """30 full-application runs doubling as the QCSA/IICP sample sets.
 
         The first ``n_iicp`` runs use 3 LHS starts plus *random feasible*
@@ -104,27 +103,21 @@ class Locat:
         remaining runs are DAGP-BO proposals, so the bootstrap still
         doubles as the start of the optimization itself (Section 5.1).
         """
-        confs: list[dict] = []
-        runs: list[RunResult] = []
-        for conf in self.space.sample_lhs(min(N_INIT, self.n_qcsa), rng):
-            conf = executor.repair(conf, self.space)
-            confs.append(conf)
-            runs.append(executor.run(conf, ds))
+        runs = [
+            executor.run(executor.repair(conf, self.space), ds)
+            for conf in self.space.sample_lhs(min(N_INIT, self.n_qcsa), rng)
+        ]
         while len(runs) < min(self.n_iicp, self.n_qcsa):
-            conf = executor.sample_feasible(self.space, rng)
-            confs.append(conf)
-            runs.append(executor.run(conf, ds))
+            runs.append(executor.run(executor.sample_feasible(self.space, rng), ds))
         while len(runs) < self.n_qcsa:
-            Xn = augment_with_ds(self.space.matrix(confs), [r.ds for r in runs])
+            Xn = augment_with_ds(self.space.matrix([r.conf for r in runs]), [r.ds for r in runs])
             y = np.array([r.total for r in runs])
             acq = EIMCMC(Xn, y, rng, n_hyper=self.n_hyper)
             cand_confs = [executor.sample_feasible(self.space, rng) for _ in range(self.n_candidates)]
             cand = augment_with_ds(self.space.matrix(cand_confs), ds)
             j = int(np.argmax(acq.score(cand)))
-            conf = cand_confs[j]
-            confs.append(conf)
-            runs.append(executor.run(conf, ds))
-        return confs, runs
+            runs.append(executor.run(cand_confs[j], ds))
+        return runs
 
     # -- phase 2: DAGP-BO over the reduced problem ----------------------
     def _refit_extraction(self, state: LocatState) -> None:
@@ -134,9 +127,10 @@ class Locat:
         the reachable configuration manifold (the GP model "is improved
         after each execution", Section 3.4)."""
         ii = state.iicp
-        kp = cpe(state.confs, ii.subspace, n_components=ii.n_components)
+        confs = [r.conf for r in state.runs]
+        kp = cpe(confs, ii.subspace, n_components=ii.n_components)
         state.iicp = IICPResult(ii.space, ii.cps_result, ii.subspace, kp, kp.n_components)
-        state.Z = [state.iicp.to_latent(c) for c in state.confs]
+        state.Z = [state.iicp.to_latent(c) for c in confs]
 
     def _search(
         self,
@@ -173,12 +167,13 @@ class Locat:
                 conf = executor.repair(conf, self.space)
                 r = executor.run(conf, ds, rqa)
                 state.Z.append(np.asarray(z, dtype=float))
-                state.ds.append(ds)
-                state.y.append(r.total)
-                state.confs.append(conf)
+                state.runs.append(r)
                 return r.total
 
             chunk = min(_REFIT_EVERY, max_iters - done)
+            X = augment_with_ds(np.vstack(state.Z), [r.ds for r in state.runs])
+            # min_iters == max_iters: bo_minimize's own EI stop never fires,
+            # the rule below is applied once per chunk instead
             res = bo_minimize(
                 f,
                 lo,
@@ -186,19 +181,16 @@ class Locat:
                 rng,
                 min_iters=chunk,
                 max_iters=chunk,
-                ei_frac=EI_FRAC,
                 n_candidates=self.n_candidates,
                 n_hyper=self.n_hyper,
-                init_X=augment_with_ds(np.vstack(state.Z), state.ds),
-                init_y=np.array(state.y),
+                init_X=X,
+                init_y=state.y,
                 fixed_dims={len(lo) - 1: ds_n},
-                cand_base=augment_with_ds(np.vstack(state.Z), state.ds),
+                cand_base=X,
             )
             done += res.n_iters
             # stop rule: enough iterations and the last chunk's EI faded
-            if done >= min_iters and res.ei_history and res.ei_history[-1] < EI_FRAC * abs(
-                min(state.y)
-            ):
+            if done >= min_iters and res.ei_history and res.ei_history[-1] < EI_FRAC * abs(res.best_y):
                 break
 
     def _best_at(self, executor: Executor, ds: float, state: LocatState) -> tuple[dict, float]:
@@ -210,8 +202,8 @@ class Locat:
         averaged with the first observation; a configuration from another
         size is scored by its re-run alone. Single noisy observations
         over-reward lucky runs (winner's curse), which the re-run damps."""
-        y = np.asarray(state.y)
-        at_ds = [i for i, d in enumerate(state.ds) if abs(d - ds) < 1e-9]
+        y = state.y
+        at_ds = [i for i, r in enumerate(state.runs) if abs(r.ds - ds) < 1e-9]
         at_ds_set = set(at_ds)
         other = [i for i in range(len(y)) if i not in at_ds_set]
         # top candidates observed at this size, plus the best configurations
@@ -224,40 +216,16 @@ class Locat:
         for i in top:
             # confirmation run (charged): averages out single-run noise so a
             # lucky observation is not crowned (CherryPick-style check)
-            t2 = executor.run(state.confs[i], ds, rqa).total
+            t2 = executor.run(state.runs[i].conf, ds, rqa).total
             avg = 0.5 * (y[i] + t2) if i in at_ds_set else t2
             if avg < best_t:
                 best_i, best_t = i, avg
-        return state.confs[best_i], float(best_t)
+        return state.runs[best_i].conf, float(best_t)
 
     # -- public API ------------------------------------------------------
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         """Full pipeline at one input data size."""
-        rng = np.random.default_rng(self.seed)
-        t0 = executor.charged_seconds
-        n0 = executor.n_runs
-
-        confs, runs = self._bootstrap(executor, ds, rng)
-        qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
-            {q: 1.0 for q in executor.query_names}
-        )
-        ii = (
-            iicp(confs[: self.n_iicp], np.array([r.total for r in runs[: self.n_iicp]]), self.space)
-            if self.use_iicp
-            else None
-        )
-        state = LocatState(qres, ii, [], [], [], [])
-        for conf, r in zip(confs, runs):
-            z = ii.to_latent(conf) if ii is not None else self.space.to_vector(conf)
-            state.Z.append(z)
-            state.ds.append(ds)
-            state.y.append(_rqa_total(r, qres.rqa))
-            state.confs.append(conf)
-
-        self._search(executor, ds, rng, state, min_iters=self.min_iters, max_iters=self.max_iters)
-        best_conf, _ = self._best_at(executor, ds, state)
-        extras = {"state": state, "qcsa": qres, "iicp": ii}
-        return tune_result("LOCAT", executor, best_conf, ds, n0, t0, extras)
+        return self.tune_multi(executor, [ds])[ds]
 
     def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
         """Online tuning across changing input data sizes.
@@ -267,22 +235,32 @@ class Locat:
         BO continuation runs — the datasize-awareness the SOTA approaches
         lack (Figure 20).
         """
+        rng = np.random.default_rng(self.seed)
+        t0 = executor.charged_seconds
+        n0 = executor.n_runs
+        runs = self._bootstrap(executor, ds_list[0], rng)
+        qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
+            {q: 1.0 for q in executor.query_names}
+        )
+        head = runs[: self.n_iicp]
+        ii = (
+            iicp([r.conf for r in head], np.array([r.total for r in head]), self.space)
+            if self.use_iicp
+            else None
+        )
+        to_z = ii.to_latent if ii is not None else self.space.to_vector
+        state = LocatState(qres, ii, [to_z(r.conf) for r in runs], runs)
+        extras = {"state": state, "qcsa": qres, "iicp": ii}
+        min_iters, max_iters = self.min_iters, self.max_iters
+        retune_rng = np.random.default_rng(self.seed + 1)
         out: dict[float, TuneResult] = {}
-        first = self.tune(executor, ds_list[0])
-        out[ds_list[0]] = first
-        state: LocatState = first.extras["state"]
-        rng = np.random.default_rng(self.seed + 1)
-        for ds in ds_list[1:]:
+        for ds in ds_list:
+            self._search(executor, ds, rng, state, min_iters=min_iters, max_iters=max_iters)
+            best_conf, _ = self._best_at(executor, ds, state)
+            out[ds] = tune_result("LOCAT", executor, best_conf, ds, n0, t0, extras)
+            # every later size is a short continuation from one shared stream
+            rng, extras = retune_rng, {"state": state}
+            min_iters, max_iters = self.retune_min_iters, self.retune_max_iters
             t0 = executor.charged_seconds
             n0 = executor.n_runs
-            self._search(
-                executor,
-                ds,
-                rng,
-                state,
-                min_iters=self.retune_min_iters,
-                max_iters=self.retune_max_iters,
-            )
-            best_conf, _ = self._best_at(executor, ds, state)
-            out[ds] = tune_result("LOCAT", executor, best_conf, ds, n0, t0, {"state": state})
         return out

@@ -46,7 +46,7 @@ def _opttime(cluster: str):
 
 
 def _speedup(cluster: str):
-    df = fig13_14_speedup.run(cluster=cluster, sizes=(100.0, 300.0, 500.0))
+    df = fig13_14_speedup.run(cluster=cluster)
     return df, fig13_14_speedup.summarize(df).to_string(index=False)
 
 

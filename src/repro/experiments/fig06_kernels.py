@@ -12,30 +12,30 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.iicp import cps, cpe
+from repro.core.iicp import N_IICP, cps, cpe
 from repro.core.kpca import KERNELS
-from repro.experiments.common import cluster_for, space_for
-from repro.execmodel.sim_exec import make_executor
+from repro.experiments.common import SAMPLE_DS_GB, random_runs, space_for
 
 __all__ = ["PAPER", "run"]
 
 PAPER = {"best_kernel": "gaussian", "benchmarks": ["TPC-DS", "TPC-H"]}
 
+#: KPCA-generated configurations evaluated per kernel.
+_N_PROBE = 12
 
-def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_train: int = 20, n_probe: int = 12) -> pd.DataFrame:
-    space = space_for(cluster)
+
+def run() -> pd.DataFrame:
+    space = space_for("arm")
     rows = []
     for bench in ("TPC-DS", "TPC-H"):
-        ex = make_executor(bench, cluster_for(cluster), seed=1)
-        rng = np.random.default_rng(seed)
-        confs = [ex.sample_feasible(space, rng) for _ in range(n_train)]
-        times = np.array([ex.run(c, ds).total for c in confs])
-        sub = space.subspace(cps(confs, times, space).kept)
+        ex, rng, runs = random_runs(bench, N_IICP)
+        confs = [r.conf for r in runs]
+        sub = space.subspace(cps(confs, np.array([r.total for r in runs]), space).kept)
         for kernel in KERNELS:
             kp = cpe(confs, sub, kernel=kernel)
             lo, hi = kp.latent_bounds()
             probe_times = []
-            for _ in range(n_probe):
+            for _ in range(_N_PROBE):
                 z = lo + rng.random(len(lo)) * (hi - lo)
                 u = kp.inverse_transform(z[None, :])[0]
                 conf = space.default_conf()
@@ -43,7 +43,7 @@ def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_train: int 
                 conf = ex.repair(conf, space)
                 # noise-free evaluation: the SD must reflect the
                 # configuration-induced spread, not run-to-run noise
-                probe_times.append(ex.evaluate(conf, ds).total)
+                probe_times.append(ex.evaluate(conf, SAMPLE_DS_GB).total)
             rows.append(
                 {
                     "benchmark": bench,

@@ -8,13 +8,11 @@ identity of the 23 kept queries.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from repro.cluster.profiles import TPCDS_CSQ, TPCDS_CSQ_NAMES
 from repro.core.qcsa import N_QCSA, qcsa_from_runs
-from repro.experiments.common import cluster_for, space_for
-from repro.execmodel.sim_exec import make_executor
+from repro.experiments.common import random_runs
 
 __all__ = ["PAPER", "run"]
 
@@ -29,12 +27,9 @@ PAPER = {
 }
 
 
-def run(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_samples: int = N_QCSA):
+def run():
     """Returns (per-query CV DataFrame, summary DataFrame)."""
-    space = space_for(cluster)
-    ex = make_executor("TPC-DS", cluster_for(cluster), seed=1)
-    rng = np.random.default_rng(seed)
-    runs = [ex.run(ex.sample_feasible(space, rng), ds) for _ in range(n_samples)]
+    _, _, runs = random_runs("TPC-DS", N_QCSA)
     res = qcsa_from_runs(runs)
     per_query = pd.DataFrame(
         [

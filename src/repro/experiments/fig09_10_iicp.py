@@ -10,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.iicp import cps, iicp
-from repro.experiments.common import BENCHMARKS, cluster_for, space_for
-from repro.execmodel.sim_exec import make_executor
+from repro.core.iicp import N_IICP, cps, iicp
+from repro.experiments.common import BENCHMARKS, SAMPLE_SWEEP, random_runs, space_for
 
 __all__ = ["PAPER", "run_fig9", "run_fig10"]
 
@@ -24,31 +23,22 @@ PAPER = {
 }
 
 
-def run_fig9(*, cluster: str = "arm", benchmark: str = "TPC-DS", ds: float = 100.0, seed: int = 7, max_samples: int = 50) -> pd.DataFrame:
-    space = space_for(cluster)
-    ex = make_executor(benchmark, cluster_for(cluster), seed=1)
-    rng = np.random.default_rng(seed)
-    confs, times = [], []
+def run_fig9() -> pd.DataFrame:
+    space = space_for("arm")
+    _, _, runs = random_runs("TPC-DS", SAMPLE_SWEEP[-1])
     rows = []
-    for n in range(1, max_samples + 1):
-        conf = ex.sample_feasible(space, rng)
-        confs.append(conf)
-        times.append(ex.run(conf, ds).total)
-        if n >= 5 and n % 5 == 0:
-            kept = cps(confs, np.array(times), space).kept
-            rows.append({"benchmark": benchmark, "n_samples": n, "n_important": len(kept)})
+    for n in SAMPLE_SWEEP:
+        kept = cps([r.conf for r in runs[:n]], np.array([r.total for r in runs[:n]]), space).kept
+        rows.append({"benchmark": "TPC-DS", "n_samples": n, "n_important": len(kept)})
     return pd.DataFrame(rows)
 
 
-def run_fig10(*, cluster: str = "arm", ds: float = 100.0, seed: int = 7, n_samples: int = 20) -> pd.DataFrame:
-    space = space_for(cluster)
+def run_fig10() -> pd.DataFrame:
+    space = space_for("arm")
     rows = []
     for bench in BENCHMARKS:
-        ex = make_executor(bench, cluster_for(cluster), seed=1)
-        rng = np.random.default_rng(seed)
-        confs = [ex.sample_feasible(space, rng) for _ in range(n_samples)]
-        times = np.array([ex.run(c, ds).total for c in confs])
-        res = iicp(confs, times, space)
+        _, _, runs = random_runs(bench, N_IICP)
+        res = iicp([r.conf for r in runs], np.array([r.total for r in runs]), space)
         rows.append(
             {
                 "benchmark": bench,

@@ -18,13 +18,15 @@ PAPER = {
     "ds_gb": 300,
 }
 
+_DS_GB = 300.0
 
-def run(*, cluster: str = "arm", ds: float = 300.0, seed: int = 5, benchmarks=BENCHMARKS) -> pd.DataFrame:
+
+def run(*, cluster: str = "arm") -> pd.DataFrame:
     rows = []
-    for bench in benchmarks:
-        locat_res, _ = run_campaign("LOCAT", bench, cluster, ds, seed=seed)
+    for bench in BENCHMARKS:
+        locat_res, _ = run_campaign("LOCAT", bench, cluster, _DS_GB)
         for name in SOTA:
-            res, _ = run_campaign(name, bench, cluster, ds, seed=seed)
+            res, _ = run_campaign(name, bench, cluster, _DS_GB)
             rows.append(
                 {
                     "cluster": cluster,

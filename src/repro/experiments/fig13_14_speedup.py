@@ -1,11 +1,11 @@
 """Figures 13 & 14 — speedups of LOCAT-tuned over SOTA-tuned configs.
 
-The 25 program-input pairs: five benchmarks x five input sizes
-(100-500 GB). Each tuner produces a configuration per pair (LOCAT via
-``tune_multi`` — the DAGP reuses samples across sizes; the SOTA tuners
-per their own protocols, re-tuning per size except datasize-aware DAC),
-and speedup = SOTA-tuned execution time / LOCAT-tuned execution time,
-both measured noise-free by the simulator.
+15 program-input pairs per cluster: five benchmarks x three input
+sizes (100, 300 and 500 GB). Each tuner produces a configuration per
+pair (LOCAT via ``tune_multi`` — the DAGP reuses samples across sizes;
+the SOTA tuners per their own protocols, re-tuning per size except
+datasize-aware DAC), and speedup = SOTA-tuned execution time /
+LOCAT-tuned execution time, both measured noise-free by the simulator.
 
 Known deviation (see EXPERIMENTS.md): the paper reports 1.9-2.8x average
 speedups; on our stationary simulated black box the extensively-sampling
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.experiments.common import BENCHMARKS, DATA_SIZES_GB, SOTA, run_campaign
+from repro.experiments.common import BENCHMARKS, SOTA, SPEEDUP_SIZES_GB, run_campaign
 
 __all__ = ["PAPER", "run"]
 
@@ -27,20 +27,13 @@ PAPER = {
 }
 
 
-def run(
-    *,
-    cluster: str = "arm",
-    seed: int = 5,
-    benchmarks=BENCHMARKS,
-    sizes=DATA_SIZES_GB,
-    sota=SOTA,
-) -> pd.DataFrame:
+def run(*, cluster: str = "arm") -> pd.DataFrame:
     rows = []
-    for bench in benchmarks:
-        locat_multi, _ = run_campaign("LOCAT", bench, cluster, list(sizes), seed=seed)
-        for name in sota:
-            sota_multi, _ = run_campaign(name, bench, cluster, list(sizes), seed=seed)
-            for ds in sizes:
+    for bench in BENCHMARKS:
+        locat_multi, _ = run_campaign("LOCAT", bench, cluster, list(SPEEDUP_SIZES_GB))
+        for name in SOTA:
+            sota_multi, _ = run_campaign(name, bench, cluster, list(SPEEDUP_SIZES_GB))
+            for ds in SPEEDUP_SIZES_GB:
                 rows.append(
                     {
                         "cluster": cluster,

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.experiments.common import run_campaign
+from repro.experiments.common import DATA_SIZES_GB, run_campaign
 
 __all__ = ["PAPER", "run"]
 
 PAPER = {"avg_ip_over_ap_x": 1.8, "sizes_gb": [100, 200, 300, 400, 500]}
 
 
-def run(*, cluster: str = "arm", sizes=(100.0, 200.0, 300.0, 400.0, 500.0), seed: int = 5) -> pd.DataFrame:
+def run() -> pd.DataFrame:
     rows = []
-    for ds in sizes:
-        ip, _ = run_campaign("LOCAT", "TPC-DS", cluster, ds, seed=seed)
-        ap, _ = run_campaign("LOCAT", "TPC-DS", cluster, ds, seed=seed, use_iicp=False)
+    for ds in DATA_SIZES_GB:
+        ip, _ = run_campaign("LOCAT", "TPC-DS", "arm", ds)
+        ap, _ = run_campaign("LOCAT", "TPC-DS", "arm", ds, use_iicp=False)
         rows.append(
             {
                 "ds_gb": int(ds),

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.experiments.common import BENCHMARKS, cluster_for, space_for
-from repro.execmodel.sim_exec import make_executor
+from repro.experiments.common import BENCHMARKS, random_runs, space_for
 from repro.mlmodels import (
     GBRTRegressor,
     KernelRidgeRegressor,
@@ -34,18 +33,20 @@ MODELS = {
     "KNNAR": lambda: KNNRegressor(k=3),
 }
 
+#: Training and held-out samples per benchmark.
+_N_TRAIN = 60
+_N_TEST = 20
 
-def run(*, cluster: str = "arm", ds: float = 100.0, n_train: int = 60, n_test: int = 20, seed: int = 7, benchmarks=BENCHMARKS) -> pd.DataFrame:
-    space = space_for(cluster)
+
+def run() -> pd.DataFrame:
+    space = space_for("arm")
     rows = []
-    for bench in benchmarks:
-        ex = make_executor(bench, cluster_for(cluster), seed=1)
-        rng = np.random.default_rng(seed)
-        confs = [ex.sample_feasible(space, rng) for _ in range(n_train + n_test)]
-        times = np.array([ex.run(c, ds).total for c in confs])
-        X = space.matrix(confs)
-        Xtr, ytr = X[:n_train], times[:n_train]
-        Xte, yte = X[n_train:], times[n_train:]
+    for bench in BENCHMARKS:
+        _, _, runs = random_runs(bench, _N_TRAIN + _N_TEST)
+        X = space.matrix([r.conf for r in runs])
+        times = np.array([r.total for r in runs])
+        Xtr, ytr = X[:_N_TRAIN], times[:_N_TRAIN]
+        Xte, yte = X[_N_TRAIN:], times[_N_TRAIN:]
         for name, make in MODELS.items():
             model = make().fit(Xtr, ytr)
             pred = model.predict(Xte)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.cluster.profiles import TPCDS_CSQ_NAMES
-from repro.experiments.common import EXEC_SEED, SOTA, cluster_for, run_campaign, space_for
+from repro.experiments.common import EXEC_SEED, SOTA, SPEEDUP_SIZES_GB, cluster_for, run_campaign, space_for
 from repro.execmodel.sim_exec import make_executor
 
 __all__ = ["PAPER", "run_fig18", "run_fig19"]
@@ -25,12 +25,11 @@ PAPER = {
 _TUNERS = ("LOCAT",) + SOTA
 
 
-def run_fig18(*, cluster: str = "arm", sizes=(100.0, 300.0, 500.0), seed: int = 5) -> pd.DataFrame:
+def run_fig18() -> pd.DataFrame:
     rows = []
-    space = space_for(cluster)
     for tuner in _TUNERS:
-        multi, ex = run_campaign(tuner, "TPC-DS", cluster, list(sizes), seed=seed)
-        for ds in sizes:
+        multi, ex = run_campaign(tuner, "TPC-DS", "arm", list(SPEEDUP_SIZES_GB))
+        for ds in SPEEDUP_SIZES_GB:
             r = ex.evaluate(multi[ds].best_conf, ds)
             t_csq = sum(t for q, t in r.times.items() if q in TPCDS_CSQ_NAMES)
             t_ciq = sum(t for q, t in r.times.items() if q not in TPCDS_CSQ_NAMES)
@@ -38,9 +37,9 @@ def run_fig18(*, cluster: str = "arm", sizes=(100.0, 300.0, 500.0), seed: int = 
                 {"tuner": tuner, "ds_gb": int(ds), "csq_time_s": t_csq, "ciq_time_s": t_ciq}
             )
     # default configuration for reference
-    ex = make_executor("TPC-DS", cluster_for(cluster), seed=EXEC_SEED)
-    for ds in sizes:
-        r = ex.evaluate(space.default_conf(), ds)
+    ex = make_executor("TPC-DS", cluster_for("arm"), seed=EXEC_SEED)
+    for ds in SPEEDUP_SIZES_GB:
+        r = ex.evaluate(space_for("arm").default_conf(), ds)
         rows.append(
             {
                 "tuner": "default",
@@ -52,12 +51,12 @@ def run_fig18(*, cluster: str = "arm", sizes=(100.0, 300.0, 500.0), seed: int = 
     return pd.DataFrame(rows)
 
 
-def run_fig19(*, cluster: str = "arm", sizes=(100.0, 300.0, 500.0), seed: int = 5) -> pd.DataFrame:
+def run_fig19() -> pd.DataFrame:
     rows = []
     for bench in ("TPC-DS", "Join"):
         for tuner in _TUNERS:
-            multi, ex = run_campaign(tuner, bench, cluster, list(sizes), seed=seed)
-            for ds in sizes:
+            multi, ex = run_campaign(tuner, bench, "arm", list(SPEEDUP_SIZES_GB))
+            for ds in SPEEDUP_SIZES_GB:
                 r = ex.evaluate(multi[ds].best_conf, ds)
                 rows.append(
                     {

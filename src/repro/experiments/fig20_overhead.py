@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.experiments.common import SOTA, run_campaign
+from repro.experiments.common import DATA_SIZES_GB, SOTA, run_campaign
 
 __all__ = ["PAPER", "run"]
 
@@ -20,12 +20,12 @@ PAPER = {
 }
 
 
-def run(*, cluster: str = "arm", sizes=(100.0, 200.0, 300.0, 400.0, 500.0), seed: int = 5) -> pd.DataFrame:
+def run() -> pd.DataFrame:
     rows = []
     for tuner in ("LOCAT",) + SOTA:
-        multi, _ = run_campaign(tuner, "TPC-DS", cluster, list(sizes), seed=seed)
+        multi, _ = run_campaign(tuner, "TPC-DS", "arm", list(DATA_SIZES_GB))
         cum = 0.0
-        for ds in sizes:
+        for ds in DATA_SIZES_GB:
             cum += multi[ds].opt_seconds
             rows.append(
                 {

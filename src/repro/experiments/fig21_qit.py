@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.iicp import cps
-from repro.core.qcsa import qcsa_from_runs
-from repro.experiments.common import EXEC_SEED, SOTA, cluster_for, make_tuner, space_for
+from repro.core.iicp import N_IICP, cps
+from repro.core.qcsa import N_QCSA, qcsa_from_runs
+from repro.experiments.common import CAMPAIGN_SEED, EXEC_SEED, SOTA, cluster_for, make_tuner, space_for
 from repro.execmodel.sim_exec import make_executor
 
 __all__ = ["PAPER", "run"]
@@ -37,43 +37,45 @@ PAPER = {
     "qit_overhead_x": 6.8,
 }
 
+_DS_GB = 500.0
+_TUNERS = ("DAGP",) + SOTA
 _VARIANTS = ("APT", "IICP", "QCSA", "QIT")
 
 
-def _graft_run(tuner_name: str, variant: str, cluster: str, ds: float, seed: int) -> tuple[float, float]:
+def _graft_run(tuner_name: str, variant: str) -> tuple[float, float]:
     """The noise-free full-application time of the tuned configuration and
     the charged seconds, including the shared bootstrap."""
-    space = space_for(cluster)
-    ex = make_executor("TPC-DS", cluster_for(cluster), seed=EXEC_SEED)
+    space = space_for("arm")
+    ex = make_executor("TPC-DS", cluster_for("arm"), seed=EXEC_SEED)
     use_qcsa = variant in ("QCSA", "QIT")
     use_iicp = variant in ("IICP", "QIT")
     if tuner_name == "DAGP":
-        res = make_tuner("LOCAT", space, seed, use_qcsa=use_qcsa, use_iicp=use_iicp).tune(ex, ds)
+        tuner = make_tuner("LOCAT", space, CAMPAIGN_SEED, use_qcsa=use_qcsa, use_iicp=use_iicp)
+        res = tuner.tune(ex, _DS_GB)
         return res.best_time, res.opt_seconds
     queries = None
     sub = space
     if use_qcsa or use_iicp:
-        # shared bootstrap: 30 charged full-application runs
-        rng = np.random.default_rng(seed)
-        confs = [ex.sample_feasible(space, rng) for _ in range(30)]
-        runs = [ex.run(c, ds) for c in confs]
+        # shared bootstrap: N_QCSA charged full-application runs
+        rng = np.random.default_rng(CAMPAIGN_SEED)
+        runs = [ex.run(ex.sample_feasible(space, rng), _DS_GB) for _ in range(N_QCSA)]
         if use_qcsa:
             queries = qcsa_from_runs(runs).rqa
         if use_iicp:
-            totals = np.array([r.total for r in runs[:20]])
-            sub = space.subspace(cps(confs[:20], totals, space).kept)
-    tuner = make_tuner(tuner_name, sub, seed, queries=queries)
-    res = tuner.tune(ex, ds)
+            head = runs[:N_IICP]
+            sub = space.subspace(cps([r.conf for r in head], np.array([r.total for r in head]), space).kept)
+    tuner = make_tuner(tuner_name, sub, CAMPAIGN_SEED, queries=queries)
+    res = tuner.tune(ex, _DS_GB)
     # score the final configuration on the FULL application
-    return ex.evaluate(space.complete(res.best_conf), ds).total, ex.charged_seconds
+    return ex.evaluate(space.complete(res.best_conf), _DS_GB).total, ex.charged_seconds
 
 
-def run(*, cluster: str = "arm", ds: float = 500.0, seed: int = 5, tuners=("DAGP",) + SOTA, variants=_VARIANTS) -> pd.DataFrame:
+def run() -> pd.DataFrame:
     rows = []
-    for tuner_name in tuners:
+    for tuner_name in _TUNERS:
         base = None
-        for variant in variants:
-            tuned_s, opt_s = _graft_run(tuner_name, variant, cluster, ds, seed)
+        for variant in _VARIANTS:
+            tuned_s, opt_s = _graft_run(tuner_name, variant)
             if variant == "APT":
                 base = (tuned_s, opt_s)
             rows.append(

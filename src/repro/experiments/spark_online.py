@@ -16,6 +16,9 @@ from repro.workloads.registry import all_benchmarks
 
 __all__ = ["run", "session"]
 
+#: TPC-H-lite scale factor.
+SF = 0.01
+
 
 def session() -> SparkSession:
     """A local session with the test fixture's runtime confs (see conftest.py)."""
@@ -29,19 +32,19 @@ def session() -> SparkSession:
     )
 
 
-def run(spark: SparkSession, sf: float = 0.01) -> pd.DataFrame:
+def run(spark: SparkSession) -> pd.DataFrame:
     space = arm_space()
     ex = SparkSQLExecutor(spark, all_benchmarks()["TPC-H"])
-    ex.tables(sf)  # generate the data before tuning starts
+    ex.tables(SF)  # generate the data before tuning starts
     loc = Locat(space, seed=2, n_qcsa=8, n_iicp=6, min_iters=3, max_iters=5,
                 n_candidates=60, n_hyper=3)
-    res = loc.tune(ex, sf)
-    default_t = ex.evaluate(space.default_conf(), sf).total
-    tuned_t = ex.evaluate(res.best_conf, sf).total
+    res = loc.tune(ex, SF)
+    default_t = ex.evaluate(space.default_conf(), SF).total
+    tuned_t = ex.evaluate(res.best_conf, SF).total
     return pd.DataFrame(
         [
             {
-                "sf": sf,
+                "sf": SF,
                 "n_runs": res.n_runs,
                 "opt_wallclock_s": res.opt_seconds,
                 "rqa_queries": len(res.extras["qcsa"].csq),

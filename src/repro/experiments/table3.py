@@ -13,10 +13,11 @@ table's columns. The paper's qualitative claims checked here:
 * ``spark.memory.offHeap.size`` (off-heap memory) enters the top five
   only at 1 TB.
 
-``n_samples`` defaults to 120 — more than the paper's N_IICP = 20 because
-Spearman's small-sample noise floor (|rho| ~ 1/sqrt(n)) would otherwise
-swamp the ranking; the paper's own Figure 9 sweep is reproduced in
-fig09_10_iicp.
+Each size ranks the same 120 configurations: more than the paper's
+N_IICP = 20 because Spearman's small-sample noise floor
+(|rho| ~ 1/sqrt(n)) would otherwise swamp the ranking; the paper's own
+Figure 9 sweep is reproduced in fig09_10_iicp. ``seed`` picks the
+configuration stream.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.iicp import cps
-from repro.experiments.common import cluster_for, space_for
+from repro.experiments.common import SAMPLE_SEED, cluster_for, space_for
 from repro.execmodel.sim_exec import make_executor
 
 __all__ = ["PAPER", "run"]
@@ -54,11 +55,14 @@ PAPER = {
 }
 
 
-def run(*, cluster: str = "arm", n_samples: int = 120, seed: int = 7, exec_seed: int = 1) -> pd.DataFrame:
-    space = space_for(cluster)
-    ex = make_executor("TPC-DS", cluster_for(cluster), seed=exec_seed)
+_N_SAMPLES = 120
+
+
+def run(*, seed: int = SAMPLE_SEED) -> pd.DataFrame:
+    space = space_for("arm")
+    ex = make_executor("TPC-DS", cluster_for("arm"), seed=1)
     rng = np.random.default_rng(seed)
-    confs = [ex.sample_feasible(space, rng) for _ in range(n_samples)]
+    confs = [ex.sample_feasible(space, rng) for _ in range(_N_SAMPLES)]
     rows = []
     for ds in (100.0, 500.0, 1000.0):
         times = np.array([ex.run(c, ds).total for c in confs])

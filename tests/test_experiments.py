@@ -44,7 +44,7 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def df(self):
-        return table3.run(n_samples=120, seed=23)
+        return table3.run(seed=23)
 
     def test_shape(self, df):
         assert len(df) == 15  # 3 sizes x top 5
@@ -76,7 +76,7 @@ class TestTable3:
 
 class TestFig7:
     def test_cv_saturates(self):
-        df = fig07_nqcsa.run(max_samples=40)
+        df = fig07_nqcsa.run()
         for bench in ("TPC-DS", "TPC-H"):
             s = df[df.benchmark == bench].sort_values("n_samples")
             early = s[s.n_samples <= 10].mean_cv.iloc[-1]
@@ -89,7 +89,7 @@ class TestFig7:
 class TestFig8:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig08_qcsa.run(seed=7)
+        return fig08_qcsa.run()
 
     def test_kept_and_removed_counts_match_paper(self, result):
         _, summary = result
@@ -113,7 +113,7 @@ class TestFig8:
 
 class TestFig9And10:
     def test_fig9_count_stabilizes(self):
-        df = fig09_10_iicp.run_fig9(max_samples=40)
+        df = fig09_10_iicp.run_fig9()
         counts = df.sort_values("n_samples").n_important.to_numpy()
         assert counts[0] >= counts[-1]  # chance selections wash out
         assert counts[-1] >= 5  # real drivers remain
@@ -152,7 +152,7 @@ class TestFig16:
 
 class TestFig17:
     def test_iicp_beats_gbrt_on_tpcds(self):
-        df = fig17_iicp_gbrt.run(runs=(10, 20, 30))
+        df = fig17_iicp_gbrt.run()
         tds = df[df.benchmark == "TPC-DS"]
         assert (tds.sd_iicp > tds.sd_gbrt).mean() >= 0.5
 

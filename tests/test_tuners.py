@@ -87,6 +87,19 @@ class TestLocat:
             assert all(a is b for a, b in zip(runs, ex.runs[start:start + len(runs)]))
             start += len(runs)
         assert start == len(ex.runs)
+        # the DAGP state holds the executor's own records, in log order; each
+        # size's slice ends in confirmation re-runs, which the state leaves out
+        state = first.extras["state"]
+        in_state = {id(r) for r in state.runs}
+        assert [id(r) for r in ex.runs if id(r) in in_state] == [id(r) for r in state.runs]
+        for ds in (100.0, 200.0, 300.0):
+            runs = out[ds].runs
+            k = sum(id(r) in in_state for r in runs)
+            assert all(id(r) in in_state for r in runs[:k])
+            confirm = runs[k:]
+            assert 1 <= len(confirm) <= 5
+            assert all(any(r.conf == s.conf for s in state.runs) for r in confirm)
+        assert len(state.Z) == len(state.runs)
 
 
 @pytest.mark.parametrize(
