@@ -47,6 +47,8 @@ os.environ.setdefault(
     "pyspark-shell",
 )
 
+import functools  # noqa: E402
+
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
@@ -83,3 +85,13 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(scope="session")
+def artefact():
+    """``repro.experiments.build``, memoized for the test session: each
+    artefact a test reads is built once. Callers must not mutate the
+    returned DataFrames."""
+    from repro.experiments import build
+
+    return functools.cache(build)

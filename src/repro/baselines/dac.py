@@ -82,11 +82,11 @@ class DAC(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = executor.n_runs
+        n0 = len(executor.runs)
         # model bootstrap (full cost) or datasize-aware top-up
         need = self.n_train if not self._X else int(self.n_train * self.RETUNE_FRAC)
         self._collect(executor, ds, need, rng)
-        k = executor.n_runs
+        k = len(executor.runs)
         model = GBRTRegressor(n_estimators=60, max_depth=4).fit(np.vstack(self._X), np.array(self._y))
         # GA search on the model, then validate candidates on the cluster
         for u in self._ga(model, ds, rng):

@@ -53,13 +53,11 @@ class GBORL(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = executor.n_runs
+        n0 = len(executor.runs)
 
-        warm_X, warm_y = [], []
         for _ in range(self.n_warm):
-            conf = executor.repair(self._memory_guided(rng), self.space)
-            warm_X.append(self.space.to_vector(conf))
-            warm_y.append(self._run(executor, conf, ds))
+            self._run(executor, executor.repair(self._memory_guided(rng), self.space), ds)
+        warm = executor.runs[n0:]
 
         def f(u: np.ndarray) -> float:
             conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
@@ -73,8 +71,8 @@ class GBORL(BaseTuner):
             min_iters=self.min_iters,
             max_iters=self.max_iters,
             ei_frac=self.EI_FRAC,
-            init_X=np.vstack(warm_X),
-            init_y=np.array(warm_y),
+            init_X=self.space.matrix([r.conf for r in warm]),
+            init_y=np.array([r.total for r in warm]),
             local_refine=False,
         )
         best_conf = min(executor.runs[n0:], key=lambda r: r.total).conf

@@ -48,7 +48,7 @@ class QTune(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = executor.n_runs
+        n0 = len(executor.runs)
         d = self.space.dim
         feat = self._featurize(executor, self.queries)
         W = rng.standard_normal((d, len(feat))) * 0.05  # policy weights

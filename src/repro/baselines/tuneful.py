@@ -58,9 +58,9 @@ class Tuneful(BaseTuner):
     def tune(self, executor: Executor, ds: float) -> TuneResult:
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = executor.n_runs
+        n0 = len(executor.runs)
         kept = self._oat(executor, ds, rng)
-        k = executor.n_runs
+        k = len(executor.runs)
         sub = self.space.subspace(kept)
         base = self.space.default_conf()
 
@@ -77,7 +77,6 @@ class Tuneful(BaseTuner):
             rng,
             min_iters=self.bo_min_iters,
             max_iters=self.bo_max_iters,
-            ei_frac=0.10,
             local_refine=False,
         )
         # the best BO run; the OAT sweeps only rank the parameters

@@ -12,6 +12,8 @@ A *hybrid* of feature selection and feature extraction:
   keeps about two thirds of the 38 parameters, CPE extracts about one
   third of those.
 
+Both steps read their samples straight from the executor's run log: a
+:class:`RunResult` carries the configuration and the application time.
 After BO converges in the extracted space, original parameter values are
 recovered via the KPCA pre-image (:meth:`IICPResult.to_conf`), with the
 non-selected parameters pinned at their defaults.
@@ -25,6 +27,7 @@ import numpy as np
 from repro.core.configspace import ConfigSpace
 from repro.core.kpca import KernelPCA
 from repro.core.spearman import spearman_matrix
+from repro.execmodel.interface import RunResult
 
 __all__ = ["SCC_THRESHOLD", "N_IICP", "CPSResult", "IICPResult", "cps", "cpe", "iicp"]
 
@@ -57,7 +60,10 @@ class IICPResult:
     cps_result: CPSResult
     subspace: ConfigSpace  # the CPS-selected parameters
     kpca: KernelPCA  # fitted on normalized subspace samples
-    n_components: int
+
+    @property
+    def n_components(self) -> int:
+        return self.kpca.n_components
 
     def to_latent(self, conf: dict) -> np.ndarray:
         """Project a full configuration into the extracted space."""
@@ -78,35 +84,32 @@ class IICPResult:
         return self.kpca.latent_bounds()
 
 
-def cps(confs: list[dict], times: np.ndarray, space: ConfigSpace) -> CPSResult:
-    """Configuration Parameter Selection over (configuration, time) samples."""
-    X = space.matrix(confs)
-    times = np.asarray(times, dtype=float)
-    if len(X) != len(times):
-        raise ValueError("confs and times length mismatch")
-    scc = spearman_matrix(X, times)
+def cps(runs: list[RunResult], space: ConfigSpace) -> CPSResult:
+    """Configuration Parameter Selection over the runs' (configuration,
+    application time) samples."""
+    scc = spearman_matrix(space.matrix([r.conf for r in runs]), np.array([r.total for r in runs]))
     kept = [space.names[j] for j in range(space.dim) if abs(scc[j]) >= SCC_THRESHOLD]
     if not kept:  # degenerate flat response: keep the single best-correlated
         kept = [space.names[int(np.argmax(np.abs(scc)))]]
     return CPSResult(kept, dict(zip(space.names, map(float, scc))))
 
 
-def cpe(confs: list[dict], subspace: ConfigSpace, *, kernel: str = "gaussian", n_components: int | None = None) -> KernelPCA:
-    """Configuration Parameter Extraction: KPCA over the CPS survivors.
+def cpe(runs: list[RunResult], subspace: ConfigSpace, *, kernel: str = "gaussian", n_components: int | None = None) -> KernelPCA:
+    """Configuration Parameter Extraction: KPCA over the CPS survivors of
+    the runs' configurations.
 
     ``n_components`` defaults to one third of the subspace dimension
     (Figure 10's CPE ratio), never below 2 (nor above the sample count).
     """
-    X = subspace.matrix(confs)
+    X = subspace.matrix([r.conf for r in runs])
     if n_components is None:
         n_components = max(2, round(subspace.dim / 3))
     n_components = min(n_components, len(X) - 1, subspace.dim)
     return KernelPCA(n_components, kernel=kernel).fit(X)
 
 
-def iicp(confs: list[dict], times: np.ndarray, space: ConfigSpace) -> IICPResult:
+def iicp(runs: list[RunResult], space: ConfigSpace) -> IICPResult:
     """CPS followed by Gaussian-kernel CPE — the full IICP pipeline."""
-    c = cps(confs, times, space)
+    c = cps(runs, space)
     sub = space.subspace(c.kept)
-    k = cpe(confs, sub)
-    return IICPResult(space, c, sub, k, k.n_components)
+    return IICPResult(space, c, sub, cpe(runs, sub))

@@ -127,10 +127,9 @@ class Locat:
         the reachable configuration manifold (the GP model "is improved
         after each execution", Section 3.4)."""
         ii = state.iicp
-        confs = [r.conf for r in state.runs]
-        kp = cpe(confs, ii.subspace, n_components=ii.n_components)
-        state.iicp = IICPResult(ii.space, ii.cps_result, ii.subspace, kp, kp.n_components)
-        state.Z = [state.iicp.to_latent(c) for c in confs]
+        kp = cpe(state.runs, ii.subspace, n_components=ii.n_components)
+        state.iicp = IICPResult(ii.space, ii.cps_result, ii.subspace, kp)
+        state.Z = [state.iicp.to_latent(r.conf) for r in state.runs]
 
     def _search(
         self,
@@ -237,17 +236,12 @@ class Locat:
         """
         rng = np.random.default_rng(self.seed)
         t0 = executor.charged_seconds
-        n0 = executor.n_runs
+        n0 = len(executor.runs)
         runs = self._bootstrap(executor, ds_list[0], rng)
         qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
             {q: 1.0 for q in executor.query_names}
         )
-        head = runs[: self.n_iicp]
-        ii = (
-            iicp([r.conf for r in head], np.array([r.total for r in head]), self.space)
-            if self.use_iicp
-            else None
-        )
+        ii = iicp(runs[: self.n_iicp], self.space) if self.use_iicp else None
         to_z = ii.to_latent if ii is not None else self.space.to_vector
         state = LocatState(qres, ii, [to_z(r.conf) for r in runs], runs)
         extras = {"state": state, "qcsa": qres, "iicp": ii}
@@ -262,5 +256,5 @@ class Locat:
             rng, extras = retune_rng, {"state": state}
             min_iters, max_iters = self.retune_min_iters, self.retune_max_iters
             t0 = executor.charged_seconds
-            n0 = executor.n_runs
+            n0 = len(executor.runs)
         return out

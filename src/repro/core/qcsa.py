@@ -9,19 +9,18 @@ third are Configuration-Insensitive Queries (CIQ) and are removed,
 leaving the Reduced Query Application (RQA) of Configuration-Sensitive
 Queries (CSQ).
 
-:func:`qcsa` consumes the per-query time table as a long-format pandas
-DataFrame; :func:`qcsa_from_runs` builds that table from executor runs.
+:func:`qcsa_from_runs` reads the executions straight from the
+executor's run log: every run must time the same queries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 
 from repro.execmodel.interface import RunResult
 
-__all__ = ["QCSAResult", "compute_cvs", "classify", "qcsa", "qcsa_from_runs"]
+__all__ = ["QCSAResult", "classify", "qcsa_from_runs"]
 
 #: Paper Section 5.1: 30 samples saturate the CV estimate.
 N_QCSA = 30
@@ -42,22 +41,6 @@ class QCSAResult:
         return self.csq
 
 
-def compute_cvs(samples: pd.DataFrame) -> dict[str, float]:
-    """Per-query CV from a long table with columns (query, run, time).
-
-    Uses the population standard deviation, matching eq. 3's ``1/N``
-    normalization.
-    """
-    for col in ("query", "run", "time"):
-        if col not in samples.columns:
-            raise ValueError(f"samples must have column {col!r}")
-    g = samples.groupby("query", sort=False)["time"]
-    mean = g.mean()
-    std = g.std(ddof=0)
-    cv = (std / mean).fillna(0.0)
-    return {q: float(v) for q, v in cv.items()}
-
-
 def classify(cvs: dict[str, float]) -> QCSAResult:
     """Eq. 4: equal-thirds partition of the CV range; lowest third = CIQ."""
     if not cvs:
@@ -72,16 +55,11 @@ def classify(cvs: dict[str, float]) -> QCSAResult:
     return QCSAResult(cvs, threshold, csq, ciq)
 
 
-def qcsa(samples: pd.DataFrame) -> QCSAResult:
-    """QCSA over a long-format (query, run, time) sample table."""
-    return classify(compute_cvs(samples))
-
-
 def qcsa_from_runs(runs: list[RunResult]) -> QCSAResult:
     """QCSA over the per-query times of the bootstrap BO executions."""
-    rows = [
-        {"query": q, "run": j, "time": t}
-        for j, r in enumerate(runs)
-        for q, t in r.times.items()
-    ]
-    return qcsa(pd.DataFrame(rows))
+    queries = list(runs[0].times)
+    T = np.array([[r.times[q] for q in queries] for r in runs])
+    with np.errstate(invalid="ignore"):  # 0/0: a query timed 0 s in every run
+        cv = T.std(axis=0) / T.mean(axis=0)
+    cv[np.isnan(cv)] = 0.0
+    return classify(dict(zip(queries, cv.tolist())))

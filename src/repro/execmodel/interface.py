@@ -3,9 +3,9 @@ baselines) sees of "the cluster".
 
 The paper's tuners are black-box optimizers: they submit a configuration,
 the application runs, and per-query execution times come back. ``run``
-charges the execution to the executor's optimization-time meter (the
-quantity Figures 11/12/20 compare) and appends its :class:`RunResult` to
-``runs``, the executor's log of charged runs; ``evaluate`` prices a
+appends its :class:`RunResult` to ``runs``, the executor's log of charged
+runs, whose total time is the optimization-time meter ``charged_seconds``
+(the quantity Figures 11/12/20 compare); ``evaluate`` prices a
 configuration without charging or logging (used for the final speedup
 measurements of Figures 13/14, which the paper performs after tuning
 finishes).
@@ -64,17 +64,12 @@ class Executor(Protocol):
 
     @property
     def charged_seconds(self) -> float:
-        """Accumulated optimization time so far."""
+        """Accumulated optimization time so far: the total of ``runs``."""
         ...
 
     @property
     def runs(self) -> list[RunResult]:
         """Every charged run so far, in order."""
-        ...
-
-    @property
-    def n_runs(self) -> int:
-        """Number of charged runs so far: ``len(runs)``."""
         ...
 
     def sample_feasible(self, space, rng) -> dict:

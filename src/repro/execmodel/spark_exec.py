@@ -54,7 +54,6 @@ class SparkSQLExecutor:
     def __init__(self, spark: SparkSession, benchmark: Benchmark):
         self.spark = spark
         self.benchmark = benchmark
-        self.charged_seconds = 0.0
         self.runs: list[RunResult] = []
         self._tables_cache: dict[float, dict] = {}
         self.unsupported: set[str] = set()
@@ -67,8 +66,8 @@ class SparkSQLExecutor:
         return self._tables_cache[sf]
 
     @property
-    def n_runs(self) -> int:
-        return len(self.runs)
+    def charged_seconds(self) -> float:
+        return sum((r.total for r in self.runs), 0.0)
 
     @property
     def query_names(self) -> list[str]:
@@ -134,7 +133,6 @@ class SparkSQLExecutor:
             self._restore(prev)
         r = RunResult(times, dict(conf), float(sf))
         if charge:
-            self.charged_seconds += r.total
             self.runs.append(r)
         return r
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.iicp import N_IICP, cps, cpe
+from repro.core.iicp import N_IICP, IICPResult, cps, cpe
 from repro.core.kpca import KERNELS
 from repro.experiments.common import SAMPLE_DS_GB, random_runs, space_for
 
@@ -29,18 +29,15 @@ def run() -> pd.DataFrame:
     rows = []
     for bench in ("TPC-DS", "TPC-H"):
         ex, rng, runs = random_runs(bench, N_IICP)
-        confs = [r.conf for r in runs]
-        sub = space.subspace(cps(confs, np.array([r.total for r in runs]), space).kept)
+        c = cps(runs, space)
+        sub = space.subspace(c.kept)
         for kernel in KERNELS:
-            kp = cpe(confs, sub, kernel=kernel)
-            lo, hi = kp.latent_bounds()
+            res = IICPResult(space, c, sub, cpe(runs, sub, kernel=kernel))
+            lo, hi = res.latent_bounds()
             probe_times = []
             for _ in range(_N_PROBE):
                 z = lo + rng.random(len(lo)) * (hi - lo)
-                u = kp.inverse_transform(z[None, :])[0]
-                conf = space.default_conf()
-                conf.update(sub.from_vector(np.clip(u, 0.0, 1.0)))
-                conf = ex.repair(conf, space)
+                conf = ex.repair(res.to_conf(z), space)
                 # noise-free evaluation: the SD must reflect the
                 # configuration-induced spread, not run-to-run noise
                 probe_times.append(ex.evaluate(conf, SAMPLE_DS_GB).total)

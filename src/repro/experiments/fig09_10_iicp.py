@@ -7,7 +7,6 @@ the 38 parameters and CPE extracts roughly one third of those.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from repro.core.iicp import N_IICP, cps, iicp
@@ -28,7 +27,7 @@ def run_fig9() -> pd.DataFrame:
     _, _, runs = random_runs("TPC-DS", SAMPLE_SWEEP[-1])
     rows = []
     for n in SAMPLE_SWEEP:
-        kept = cps([r.conf for r in runs[:n]], np.array([r.total for r in runs[:n]]), space).kept
+        kept = cps(runs[:n], space).kept
         rows.append({"benchmark": "TPC-DS", "n_samples": n, "n_important": len(kept)})
     return pd.DataFrame(rows)
 
@@ -38,7 +37,7 @@ def run_fig10() -> pd.DataFrame:
     rows = []
     for bench in BENCHMARKS:
         _, _, runs = random_runs(bench, N_IICP)
-        res = iicp([r.conf for r in runs], np.array([r.total for r in runs]), space)
+        res = iicp(runs, space)
         rows.append(
             {
                 "benchmark": bench,

@@ -43,10 +43,10 @@ def run() -> pd.DataFrame:
     rows = []
     for bench in PAPER["benchmarks"]:
         ex, _, samples = random_runs(bench, N_IICP)
-        confs = [r.conf for r in samples]
-        times = np.array([r.total for r in samples])
-        iicp_sel = cps(confs, times, space).top(_TOP_K)
-        model = GBRTRegressor(n_estimators=60, max_depth=3).fit(space.matrix(confs), times)
+        iicp_sel = cps(samples, space).top(_TOP_K)
+        model = GBRTRegressor(n_estimators=60, max_depth=3).fit(
+            space.matrix([r.conf for r in samples]), np.array([r.total for r in samples])
+        )
         order = np.argsort(model.feature_importances_)[::-1]
         gbrt_sel = [space.names[i] for i in order[:_TOP_K]]
         for n_runs in PAPER["runs"]:

@@ -62,8 +62,7 @@ def _graft_run(tuner_name: str, variant: str) -> tuple[float, float]:
         if use_qcsa:
             queries = qcsa_from_runs(runs).rqa
         if use_iicp:
-            head = runs[:N_IICP]
-            sub = space.subspace(cps([r.conf for r in head], np.array([r.total for r in head]), space).kept)
+            sub = space.subspace(cps(runs[:N_IICP], space).kept)
     tuner = make_tuner(tuner_name, sub, CAMPAIGN_SEED, queries=queries)
     res = tuner.tune(ex, _DS_GB)
     # score the final configuration on the FULL application

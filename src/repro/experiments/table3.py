@@ -65,8 +65,7 @@ def run(*, seed: int = SAMPLE_SEED) -> pd.DataFrame:
     confs = [ex.sample_feasible(space, rng) for _ in range(_N_SAMPLES)]
     rows = []
     for ds in (100.0, 500.0, 1000.0):
-        times = np.array([ex.run(c, ds).total for c in confs])
-        ranking = cps(confs, times, space).ranking()
+        ranking = cps([ex.run(c, ds) for c in confs], space).ranking()
         for rank, (name, scc) in enumerate(ranking[:5], start=1):
             rows.append(
                 {

@@ -137,7 +137,7 @@ class TestSimulator:
         conf = ARM.default_conf()
         r = sim.run(conf, 100.0)
         assert sim.charged_seconds == pytest.approx(r.total)
-        assert sim.n_runs == 1
+        assert len(sim.runs) == 1
 
     def test_run_noise_varies_by_run(self):
         sim = self._sim()

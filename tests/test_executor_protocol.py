@@ -31,14 +31,15 @@ def test_is_executor(executor_ds):
 def test_run_and_evaluate_return_run_result(executor_ds):
     ex, ds = executor_ds
     queries = ex.query_names[:2]
-    n0 = ex.n_runs
+    n0 = len(ex.runs)
     run = ex.run(ARM.default_conf(), ds, queries)
     assert ex.runs[n0:] == [run] and ex.runs[-1] is run  # run appends one record
     for r in (run, ex.evaluate(ARM.default_conf(), ds, queries)):
         assert isinstance(r, RunResult)
         assert type(r.ds) is float and r.ds == ds
         assert list(r.times) == queries
-    assert ex.n_runs == n0 + 1 == len(ex.runs)  # evaluate is neither charged nor logged
+    assert len(ex.runs) == n0 + 1  # evaluate is neither charged nor logged
+    assert ex.charged_seconds == sum(r.total for r in ex.runs)  # the meter is the log
 
 
 def test_query_categories_cover_query_names(executor_ds):

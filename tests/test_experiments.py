@@ -4,38 +4,27 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.experiments import (
-    common,
-    fig06_kernels,
-    fig07_nqcsa,
-    fig08_qcsa,
-    fig09_10_iicp,
-    fig16_models,
-    fig17_iicp_gbrt,
-    table1,
-    table2,
-    table3,
-)
+from repro.experiments import common, table3
 
 
 class TestTable1:
-    def test_matrix_shape(self):
-        df = table1.run()
+    def test_matrix_shape(self, artefact):
+        df, _ = artefact("table1")
         assert len(df) == 5
         assert df.paper_queries.sum() == 129  # 104 + 22 + 3
         assert (df.sim_queries == df.paper_queries).all()
 
 
 class TestTable2:
-    def test_rows_and_split(self):
-        df = table2.run()
+    def test_rows_and_split(self, artefact):
+        df, _ = artefact("table2")
         assert len(df) == 38
         assert (df.kind != "bool").sum() == 27
         assert (df.kind == "bool").sum() == 11
         assert (df.resource == "*").sum() == 6
 
-    def test_ranges_differ_between_clusters_for_resources(self):
-        df = table2.run().set_index("parameter")
+    def test_ranges_differ_between_clusters_for_resources(self, artefact):
+        df = artefact("table2")[0].set_index("parameter")
         row = df.loc["spark.executor.memory"]
         assert row.range_A_arm == "4 - 32"
         assert row.range_B_x86 == "4 - 48"
@@ -75,8 +64,8 @@ class TestTable3:
 
 
 class TestFig7:
-    def test_cv_saturates(self):
-        df = fig07_nqcsa.run()
+    def test_cv_saturates(self, artefact):
+        df, _ = artefact("fig07_nqcsa")
         for bench in ("TPC-DS", "TPC-H"):
             s = df[df.benchmark == bench].sort_values("n_samples")
             early = s[s.n_samples <= 10].mean_cv.iloc[-1]
@@ -88,8 +77,8 @@ class TestFig7:
 
 class TestFig8:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig08_qcsa.run()
+    def result(self, artefact):
+        return artefact("fig08_per_query_cv")[0], artefact("fig08_summary")[0]
 
     def test_kept_and_removed_counts_match_paper(self, result):
         _, summary = result
@@ -112,14 +101,14 @@ class TestFig8:
 
 
 class TestFig9And10:
-    def test_fig9_count_stabilizes(self):
-        df = fig09_10_iicp.run_fig9()
+    def test_fig9_count_stabilizes(self, artefact):
+        df, _ = artefact("fig09_niicp")
         counts = df.sort_values("n_samples").n_important.to_numpy()
         assert counts[0] >= counts[-1]  # chance selections wash out
         assert counts[-1] >= 5  # real drivers remain
 
-    def test_fig10_fractions(self):
-        df = fig09_10_iicp.run_fig10()
+    def test_fig10_fractions(self, artefact):
+        df, _ = artefact("fig10_cps_cpe")
         assert ((df.cps_selected >= 10) & (df.cps_selected <= 30)).all()
         # CPE extracts about a third of CPS's selection
         ratio = df.cpe_extracted / df.cps_selected
@@ -127,8 +116,8 @@ class TestFig9And10:
 
 
 class TestFig6:
-    def test_gaussian_kernel_competitive(self):
-        df = fig06_kernels.run()
+    def test_gaussian_kernel_competitive(self, artefact):
+        df, _ = artefact("fig06_kernels")
         for bench in ("TPC-DS", "TPC-H"):
             s = df[df.benchmark == bench].set_index("kernel").exec_time_sd
             assert s["gaussian"] >= s["perceptron"]
@@ -137,8 +126,8 @@ class TestFig6:
 
 class TestFig16:
     @pytest.fixture(scope="class")
-    def df(self):
-        return fig16_models.run()
+    def df(self, artefact):
+        return artefact("fig16_models")[0]
 
     def test_all_models_and_benchmarks(self, df):
         assert set(df.model) == {"GBRT", "SVR", "LinearR", "LR", "KNNAR"}
@@ -151,8 +140,8 @@ class TestFig16:
 
 
 class TestFig17:
-    def test_iicp_beats_gbrt_on_tpcds(self):
-        df = fig17_iicp_gbrt.run()
+    def test_iicp_beats_gbrt_on_tpcds(self, artefact):
+        df, _ = artefact("fig17_iicp_gbrt")
         tds = df[df.benchmark == "TPC-DS"]
         assert (tds.sd_iicp > tds.sd_gbrt).mean() >= 0.5
 

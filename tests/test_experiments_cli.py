@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.experiments import ARTEFACTS, render
+from repro.experiments import ARTEFACTS, text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -36,8 +36,8 @@ def test_every_results_file_has_an_artefact():
 
 
 @pytest.mark.parametrize("name", CHEAP)
-def test_render_matches_committed(name):
-    assert render(name) == (RESULTS / f"{name}.txt").read_text()
+def test_render_matches_committed(name, artefact):
+    assert text(*artefact(name)) == (RESULTS / f"{name}.txt").read_text()
 
 
 def _cli(*names):

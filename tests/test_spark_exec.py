@@ -23,14 +23,14 @@ class TestSparkExecutor:
         assert all(t > 0 for t in r.times.values())
         assert tpch_exec.charged_seconds == pytest.approx(before + r.total)
         assert tpch_exec.runs[n0:] == [r] and tpch_exec.runs[-1] is r
-        assert tpch_exec.n_runs == n0 + 1
+        assert len(tpch_exec.runs) == n0 + 1
 
     def test_evaluate_does_not_charge(self, tpch_exec):
         before = tpch_exec.charged_seconds
         n0 = len(tpch_exec.runs)
         tpch_exec.evaluate(ARM.default_conf(), SF, ["Q06"])
         assert tpch_exec.charged_seconds == before
-        assert len(tpch_exec.runs) == tpch_exec.n_runs == n0
+        assert len(tpch_exec.runs) == n0
 
     def test_query_subset(self, tpch_exec):
         r = tpch_exec.run(ARM.default_conf(), SF, ["Q01", "Q06"])
