@@ -4,9 +4,13 @@ The paper compares LOCAT against Tuneful, DAC, GBO-RL and QTune. The
 comparisons hinge on each baseline's *sample economics* — how many
 full-application cluster runs its algorithm needs — and on its search
 structure (which dimensions it tunes, whether it adapts to data size).
-Every baseline here implements :class:`BaseTuner`:
+Every baseline here is a :class:`BaseTuner`:
 
-* ``tune(executor, ds)`` — one tuning campaign; charged runs make up the
+* ``tune(executor, ds)`` — one tuning campaign, the same for every
+  baseline: it seeds a generator, calls the subclass's
+  ``_tune(executor, ds, rng)`` for a recommended configuration, and
+  returns the campaign's slice of the executor's run log as a
+  :class:`TuneResult`. The slice's charged runs make up the
   optimization time of Figures 11/12.
 * ``tune_multi(executor, ds_list)`` — default behaviour re-tunes from
   scratch per data size (none of the baselines' published algorithms is
@@ -19,15 +23,17 @@ the SOTA approaches.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.configspace import ConfigSpace
-from repro.core.result import TuneResult
+from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["BaseTuner"]
 
 
 class BaseTuner:
-    """Common scaffolding: charged runs, multi-size."""
+    """Common scaffolding: the campaign, charged runs, multi-size."""
 
     name = "base"
 
@@ -41,8 +47,15 @@ class BaseTuner:
         return executor.run(conf, ds, self.queries).total
 
     # -- API -------------------------------------------------------------
-    def tune(self, executor: Executor, ds: float) -> TuneResult:  # pragma: no cover
+    def _tune(self, executor: Executor, ds: float, rng: np.random.Generator) -> dict:  # pragma: no cover
+        """Run the tuner's algorithm at size ``ds``; return its recommendation."""
         raise NotImplementedError
+
+    def tune(self, executor: Executor, ds: float) -> TuneResult:
+        """One campaign: the runs ``_tune`` charges and its recommendation."""
+        n0 = len(executor.runs)
+        best_conf = self._tune(executor, ds, np.random.default_rng(self.seed))
+        return tune_result(self.name, executor, best_conf, ds, n0)
 
     def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
         """Default: no datasize adaptation — full re-tune per size.

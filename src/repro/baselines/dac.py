@@ -8,15 +8,19 @@ Its weakness, per the LOCAT paper, is sample hunger: the model needs
 hundreds of training runs, each a full application execution. Its
 datasize-awareness means later sizes reuse the model and only add a
 smaller batch of fresh samples.
+
+The model's training set is the executor's own records of the
+model-sampling runs (``_train``), taken from the run log; the GA
+validation runs are charged but never train the model.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.baselines.common import BaseTuner
-from repro.core.dagp import ds_normalize
-from repro.core.result import TuneResult, tune_result
-from repro.execmodel.interface import Executor
+from repro.core.dagp import augment_with_ds, ds_normalize
+from repro.core.result import TuneResult
+from repro.execmodel.interface import Executor, RunResult
 from repro.mlmodels import GBRTRegressor
 
 __all__ = ["DAC"]
@@ -43,19 +47,11 @@ class DAC(BaseTuner):
         self.ga_pop = ga_pop
         self.ga_gens = ga_gens
         self.validate_top = validate_top
-        self._X: list[np.ndarray] = []  # (normalized conf, ds) training rows
-        self._y: list[float] = []
+        self._train: list[RunResult] = []  # the model-sampling runs, from the log
 
     @property
     def n_train(self) -> int:
         return self.samples_per_dim * self.space.dim
-
-    def _collect(self, executor: Executor, ds: float, n: int, rng) -> None:
-        for _ in range(n):
-            conf = executor.sample_feasible(self.space, rng)
-            t = self._run(executor, conf, ds)
-            self._X.append(np.concatenate([self.space.to_vector(conf), [ds_normalize(ds)]]))
-            self._y.append(t)
 
     def _ga(self, model: GBRTRegressor, ds: float, rng) -> list[np.ndarray]:
         """Genetic search on the surrogate; returns top candidate vectors."""
@@ -79,23 +75,23 @@ class DAC(BaseTuner):
         order = np.argsort(fit)
         return [pop[i] for i in order[: self.validate_top]]
 
-    def tune(self, executor: Executor, ds: float) -> TuneResult:
-        rng = np.random.default_rng(self.seed)
-        t0 = executor.charged_seconds
-        n0 = len(executor.runs)
+    def _tune(self, executor: Executor, ds: float, rng) -> dict:
         # model bootstrap (full cost) or datasize-aware top-up
-        need = self.n_train if not self._X else int(self.n_train * self.RETUNE_FRAC)
-        self._collect(executor, ds, need, rng)
+        need = self.n_train if not self._train else int(self.n_train * self.RETUNE_FRAC)
+        start = len(executor.runs)
+        for _ in range(need):
+            self._run(executor, executor.sample_feasible(self.space, rng), ds)
+        self._train += executor.runs[start:]
         k = len(executor.runs)
-        model = GBRTRegressor(n_estimators=60, max_depth=4).fit(np.vstack(self._X), np.array(self._y))
+        X = augment_with_ds(self.space.matrix([r.conf for r in self._train]), [r.ds for r in self._train])
+        y = np.array([r.total for r in self._train])
+        model = GBRTRegressor(n_estimators=60, max_depth=4).fit(X, y)
         # GA search on the model, then validate candidates on the cluster
         for u in self._ga(model, ds, rng):
-            conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
-            self._run(executor, conf, ds)
+            self._run(executor, executor.repair(self.space.from_vector(u), self.space), ds)
         # DAC's protocol selects among the validated GA candidates; the
         # random training samples only feed the model.
-        best_conf = min(executor.runs[k:], key=lambda r: r.total).conf
-        return tune_result(self.name, executor, best_conf, ds, n0, t0)
+        return min(executor.runs[k:], key=lambda r: r.total).conf
 
     def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
         """Datasize-aware: the model persists; later sizes only top up."""

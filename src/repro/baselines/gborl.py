@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.baselines.common import BaseTuner
 from repro.core.bo import bo_minimize
-from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["GBORL"]
@@ -50,9 +49,7 @@ class GBORL(BaseTuner):
             conf["spark.memory.offHeap.enabled"] = True
         return conf
 
-    def tune(self, executor: Executor, ds: float) -> TuneResult:
-        rng = np.random.default_rng(self.seed)
-        t0 = executor.charged_seconds
+    def _tune(self, executor: Executor, ds: float, rng) -> dict:
         n0 = len(executor.runs)
 
         for _ in range(self.n_warm):
@@ -60,7 +57,7 @@ class GBORL(BaseTuner):
         warm = executor.runs[n0:]
 
         def f(u: np.ndarray) -> float:
-            conf = executor.repair(self.space.from_vector(np.clip(u, 0.0, 1.0)), self.space)
+            conf = executor.repair(self.space.from_vector(u), self.space)
             return self._run(executor, conf, ds)
 
         bo_minimize(
@@ -75,5 +72,4 @@ class GBORL(BaseTuner):
             init_y=np.array([r.total for r in warm]),
             local_refine=False,
         )
-        best_conf = min(executor.runs[n0:], key=lambda r: r.total).conf
-        return tune_result(self.name, executor, best_conf, ds, n0, t0)
+        return min(executor.runs[n0:], key=lambda r: r.total).conf

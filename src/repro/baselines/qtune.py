@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import BaseTuner
-from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["QTune"]
@@ -45,10 +44,7 @@ class QTune(BaseTuner):
         n = max(1, len(names))
         return np.array([cats["selection"] / n, cats["join"] / n, cats["aggregation"] / n, min(n / 100.0, 1.0), 1.0])
 
-    def tune(self, executor: Executor, ds: float) -> TuneResult:
-        rng = np.random.default_rng(self.seed)
-        t0 = executor.charged_seconds
-        n0 = len(executor.runs)
+    def _tune(self, executor: Executor, ds: float, rng) -> dict:
         d = self.space.dim
         feat = self._featurize(executor, self.queries)
         W = rng.standard_normal((d, len(feat))) * 0.05  # policy weights
@@ -70,4 +66,4 @@ class QTune(BaseTuner):
         mean = 1.0 / (1.0 + np.exp(-(W @ feat)))
         best_conf = executor.repair(self.space.from_vector(mean), self.space)
         self._run(executor, best_conf, ds)  # charged deployment check
-        return tune_result(self.name, executor, best_conf, ds, n0, t0)
+        return best_conf

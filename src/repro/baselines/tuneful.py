@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.baselines.common import BaseTuner
 from repro.core.bo import bo_minimize
-from repro.core.result import TuneResult, tune_result
 from repro.execmodel.interface import Executor
 
 __all__ = ["Tuneful"]
@@ -55,10 +54,7 @@ class Tuneful(BaseTuner):
         ranked = sorted(significance, key=lambda n: -significance[n])
         return ranked[:k]
 
-    def tune(self, executor: Executor, ds: float) -> TuneResult:
-        rng = np.random.default_rng(self.seed)
-        t0 = executor.charged_seconds
-        n0 = len(executor.runs)
+    def _tune(self, executor: Executor, ds: float, rng) -> dict:
         kept = self._oat(executor, ds, rng)
         k = len(executor.runs)
         sub = self.space.subspace(kept)
@@ -66,7 +62,7 @@ class Tuneful(BaseTuner):
 
         def f(u: np.ndarray) -> float:
             conf = dict(base)
-            conf.update(sub.from_vector(np.clip(u, 0.0, 1.0)))
+            conf.update(sub.from_vector(u))
             conf = executor.repair(conf, self.space)
             return self._run(executor, conf, ds)
 
@@ -80,5 +76,4 @@ class Tuneful(BaseTuner):
             local_refine=False,
         )
         # the best BO run; the OAT sweeps only rank the parameters
-        best_conf = min(executor.runs[k:], key=lambda r: r.total).conf
-        return tune_result(self.name, executor, best_conf, ds, n0, t0)
+        return min(executor.runs[k:], key=lambda r: r.total).conf

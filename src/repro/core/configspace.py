@@ -184,7 +184,9 @@ class ConfigSpace:
         return np.array([p.normalize(conf[p.name]) for p in self.params])
 
     def from_vector(self, u: np.ndarray) -> dict:
-        """Denormalize a unit-cube vector to a configuration dict."""
+        """Denormalize a unit-cube vector to a configuration dict.
+
+        Coordinates outside [0, 1] clamp to the ends of their ranges."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {u.shape}")

@@ -77,7 +77,7 @@ class IICPResult:
         """
         u = self.kpca.inverse_transform(np.asarray(z, dtype=float)[None, :])[0]
         conf = self.space.default_conf()
-        conf.update(self.subspace.from_vector(np.clip(u, 0.0, 1.0)))
+        conf.update(self.subspace.from_vector(u))
         return conf
 
     def latent_bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -162,7 +162,7 @@ class Locat:
                 if iicp_now is not None:
                     conf = iicp_now.to_conf(z)
                 else:
-                    conf = self.space.from_vector(np.clip(z, 0.0, 1.0))
+                    conf = self.space.from_vector(z)
                 conf = executor.repair(conf, self.space)
                 r = executor.run(conf, ds, rqa)
                 state.Z.append(np.asarray(z, dtype=float))
@@ -192,7 +192,7 @@ class Locat:
             if done >= min_iters and res.ei_history and res.ei_history[-1] < EI_FRAC * abs(res.best_y):
                 break
 
-    def _best_at(self, executor: Executor, ds: float, state: LocatState) -> tuple[dict, float]:
+    def _best_at(self, executor: Executor, ds: float, state: LocatState) -> dict:
         """Recommend a configuration for size ``ds`` by confirmation runs.
 
         Re-runs the RQA (charged) under the 3 best configurations observed
@@ -219,7 +219,7 @@ class Locat:
             avg = 0.5 * (y[i] + t2) if i in at_ds_set else t2
             if avg < best_t:
                 best_i, best_t = i, avg
-        return state.runs[best_i].conf, float(best_t)
+        return state.runs[best_i].conf
 
     # -- public API ------------------------------------------------------
     def tune(self, executor: Executor, ds: float) -> TuneResult:
@@ -235,7 +235,6 @@ class Locat:
         lack (Figure 20).
         """
         rng = np.random.default_rng(self.seed)
-        t0 = executor.charged_seconds
         n0 = len(executor.runs)
         runs = self._bootstrap(executor, ds_list[0], rng)
         qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
@@ -250,11 +249,10 @@ class Locat:
         out: dict[float, TuneResult] = {}
         for ds in ds_list:
             self._search(executor, ds, rng, state, min_iters=min_iters, max_iters=max_iters)
-            best_conf, _ = self._best_at(executor, ds, state)
-            out[ds] = tune_result("LOCAT", executor, best_conf, ds, n0, t0, extras)
+            best_conf = self._best_at(executor, ds, state)
+            out[ds] = tune_result("LOCAT", executor, best_conf, ds, n0, extras)
             # every later size is a short continuation from one shared stream
             rng, extras = retune_rng, {"state": state}
             min_iters, max_iters = self.retune_min_iters, self.retune_max_iters
-            t0 = executor.charged_seconds
             n0 = len(executor.runs)
         return out

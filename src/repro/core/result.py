@@ -6,9 +6,10 @@ them uniformly on the paper's two axes: the quality of the found
 configuration (execution time → Figures 13/14 speedups) and the
 optimization time spent finding it (→ Figures 11/12/20).
 
-The campaign's charged runs are not copied into the result: it holds
-the campaign's slice of the executor's run log, ``executor.runs``.
-:func:`tune_result` is the one place a result is built.
+A campaign is its slice of the executor's run log, ``executor.runs``:
+the result holds that slice, not a copy, and its run count and
+optimization time are read from it. :func:`tune_result` is the one
+place a result is built.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ class TuneResult:
     tuner: str
     best_conf: dict
     best_time: float  # noise-free execution time of the tuned configuration
-    opt_seconds: float  # charged cluster time spent optimizing
     runs: list[RunResult]  # the charged runs of this campaign, in order
     ds: float
     extras: dict = field(default_factory=dict)
@@ -36,6 +36,11 @@ class TuneResult:
         """Application executions performed."""
         return len(self.runs)
 
+    @property
+    def opt_seconds(self) -> float:
+        """Charged cluster time spent optimizing: the total of the runs."""
+        return sum((r.total for r in self.runs), 0.0)
+
 
 def tune_result(
     tuner: str,
@@ -43,16 +48,14 @@ def tune_result(
     best_conf: dict,
     ds: float,
     n0: int,
-    t0: float,
     extras: dict | None = None,
 ) -> TuneResult:
     """The result of a campaign that started at run ``n0`` of the executor's
-    log, when ``t0`` seconds had been charged."""
+    log and has run to its end."""
     return TuneResult(
         tuner=tuner,
         best_conf=best_conf,
         best_time=executor.evaluate(best_conf, ds).total,
-        opt_seconds=executor.charged_seconds - t0,
         runs=executor.runs[n0:],
         ds=ds,
         extras={} if extras is None else extras,

@@ -1,8 +1,8 @@
 """Synthetic OLAP data at a configurable scale factor.
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+benchmarks use SF~=0.1. Each generator draws from its own constant seed,
+so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
@@ -14,14 +14,10 @@ _N_CUSTOMER_PER_SF = 150_000
 _N_PART_PER_SF = 200_000
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
+def orders(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(1)
     pdf = pd.DataFrame(
         {
             "o_orderkey": np.arange(1, n + 1),
@@ -38,9 +34,9 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
     return spark.createDataFrame(pdf)
 
 
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
+def customer(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(2)
     pdf = pd.DataFrame(
         {
             "c_custkey": np.arange(1, n + 1),
@@ -72,10 +68,10 @@ _REGIONS = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"]
 _NATION_REGION = [0, 1, 1, 1, 4, 0, 3, 3, 2, 2, 4, 4, 2, 4, 0, 0, 0, 1, 2, 3, 4, 2, 3, 3, 1]
 
 
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
+def supplier(spark: SparkSession, *, sf: float) -> DataFrame:
     """TPC-H supplier-lite: key, nation, account balance."""
     n = max(1, int(_N_SUPPLIER_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(6)
     pdf = pd.DataFrame(
         {
             "s_suppkey": np.arange(1, n + 1),
@@ -99,14 +95,14 @@ def nation(spark: SparkSession) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+def lineitem(spark: SparkSession, *, sf: float) -> DataFrame:
     """TPC-H lineitem-lite, including l_suppkey, l_shipmode, l_shipinstruct,
     l_commitdate and l_receiptdate."""
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
     n_supp = max(1, int(_N_SUPPLIER_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(0)
     ship = pd.to_datetime("1992-01-01") + pd.to_timedelta(g.integers(0, 2557, n), unit="D")
     pdf = pd.DataFrame(
         {
@@ -132,10 +128,10 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
     return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
+def part(spark: SparkSession, *, sf: float) -> DataFrame:
     """TPC-H part-lite, including p_container (needed by TPC-H Q19)."""
     n = max(1, int(_N_PART_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(5)
     pdf = pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
@@ -182,9 +178,9 @@ def date_dim(spark: SparkSession) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def item(spark: SparkSession, *, sf: float = 0.01, seed: int = 11) -> DataFrame:
+def item(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(1, int(_N_ITEM_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(11)
     cats = ["Books", "Electronics", "Home", "Jewelry", "Music", "Shoes", "Sports", "Women"]
     pdf = pd.DataFrame(
         {
@@ -199,9 +195,9 @@ def item(spark: SparkSession, *, sf: float = 0.01, seed: int = 11) -> DataFrame:
     return spark.createDataFrame(pdf)
 
 
-def store(spark: SparkSession, *, sf: float = 0.01, seed: int = 12) -> DataFrame:
+def store(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(2, int(_N_STORE_PER_SF * max(sf, 0.1)))
-    g = _rng(seed)
+    g = np.random.default_rng(12)
     states = ["TN", "CA", "TX", "NY", "WA", "GA", "OH", "IL"]
     pdf = pd.DataFrame(
         {
@@ -214,9 +210,9 @@ def store(spark: SparkSession, *, sf: float = 0.01, seed: int = 12) -> DataFrame
     return spark.createDataFrame(pdf)
 
 
-def customer_ds(spark: SparkSession, *, sf: float = 0.01, seed: int = 13) -> DataFrame:
+def customer_ds(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(1, int(_N_CUSTOMER_DS_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(13)
     pdf = pd.DataFrame(
         {
             "c_customer_sk": np.arange(1, n + 1),
@@ -228,13 +224,13 @@ def customer_ds(spark: SparkSession, *, sf: float = 0.01, seed: int = 13) -> Dat
     return spark.createDataFrame(pdf)
 
 
-def store_sales(spark: SparkSession, *, sf: float = 0.01, seed: int = 10) -> DataFrame:
+def store_sales(spark: SparkSession, *, sf: float) -> DataFrame:
     """TPC-DS store_sales fact table (zipf-skewed item popularity)."""
     n = max(1, int(_N_STORE_SALES_PER_SF * sf))
     n_item = max(1, int(_N_ITEM_PER_SF * sf))
     n_store = max(2, int(_N_STORE_PER_SF * max(sf, 0.1)))
     n_cust = max(1, int(_N_CUSTOMER_DS_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(10)
     ranks = np.arange(1, n_item + 1)
     w = 1.0 / ranks**0.8
     w /= w.sum()
@@ -264,10 +260,10 @@ _N_USERVISITS_PER_SF = 1_000_000
 _N_RANKINGS_PER_SF = 120_000
 
 
-def uservisits(spark: SparkSession, *, sf: float = 0.01, seed: int = 20) -> DataFrame:
+def uservisits(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(1, int(_N_USERVISITS_PER_SF * sf))
     n_url = max(1, int(_N_RANKINGS_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(20)
     pdf = pd.DataFrame(
         {
             "sourceIP": [
@@ -286,9 +282,9 @@ def uservisits(spark: SparkSession, *, sf: float = 0.01, seed: int = 20) -> Data
     return spark.createDataFrame(pdf)
 
 
-def rankings(spark: SparkSession, *, sf: float = 0.01, seed: int = 21) -> DataFrame:
+def rankings(spark: SparkSession, *, sf: float) -> DataFrame:
     n = max(1, int(_N_RANKINGS_PER_SF * sf))
-    g = _rng(seed)
+    g = np.random.default_rng(21)
     pdf = pd.DataFrame(
         {
             "pageURL": [f"url{k}" for k in range(1, n + 1)],

@@ -18,7 +18,7 @@ from repro.workloads.registry import Benchmark, Query
 __all__ = ["HIBENCH_BENCHMARKS", "hibench_tables"]
 
 
-def hibench_tables(spark: SparkSession, sf: float = 0.01) -> dict:
+def hibench_tables(spark: SparkSession, sf: float) -> dict:
     return {
         "uservisits": synth_data.uservisits(spark, sf=sf),
         "rankings": synth_data.rankings(spark, sf=sf),

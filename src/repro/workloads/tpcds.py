@@ -17,7 +17,7 @@ from repro.workloads.registry import Benchmark, Query
 __all__ = ["TPCDS_LITE", "tpcds_tables"]
 
 
-def tpcds_tables(spark: SparkSession, sf: float = 0.01) -> dict:
+def tpcds_tables(spark: SparkSession, sf: float) -> dict:
     """Generate the TPC-DS-lite star schema at scale factor ``sf``."""
     return {
         "store_sales": synth_data.store_sales(spark, sf=sf),

@@ -17,7 +17,7 @@ from repro.workloads.registry import Benchmark, Query
 __all__ = ["TPCH_LITE", "tpch_tables"]
 
 
-def tpch_tables(spark: SparkSession, sf: float = 0.01) -> dict:
+def tpch_tables(spark: SparkSession, sf: float) -> dict:
     """Generate the TPC-H-lite tables at scale factor ``sf``."""
     return {
         "lineitem": synth_data.lineitem(spark, sf=sf),

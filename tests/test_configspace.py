@@ -114,6 +114,13 @@ def test_vector_roundtrip():
     assert ARM.from_vector(v) == conf
 
 
+def test_from_vector_clamps_to_unit_cube():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        u = rng.uniform(-0.5, 1.5, ARM.dim)
+        assert ARM.from_vector(u) == ARM.from_vector(np.clip(u, 0.0, 1.0))
+
+
 def test_from_vector_shape_check():
     with pytest.raises(ValueError):
         ARM.from_vector(np.zeros(5))

@@ -85,6 +85,7 @@ class TestLocat:
         for ds in (100.0, 200.0, 300.0):
             runs = out[ds].runs
             assert all(a is b for a, b in zip(runs, ex.runs[start:start + len(runs)]))
+            assert out[ds].opt_seconds == sum(r.total for r in runs)  # the slice's total
             start += len(runs)
         assert start == len(ex.runs)
         # the DAGP state holds the executor's own records, in log order; each
@@ -163,6 +164,20 @@ class TestBaselineEconomics:
         r1 = dac.tune(ex, 100.0)
         r2 = dac.tune(ex, 200.0)
         assert r2.n_runs < r1.n_runs  # datasize-aware top-up
+
+    def test_dac_trains_on_its_logged_sampling_runs(self):
+        ex = _executor()
+        dac = DAC(ARM, seed=1, samples_per_dim=1, ga_gens=3, validate_top=2)
+        r1 = dac.tune(ex, 100.0)
+        r2 = dac.tune(ex, 200.0)
+        n_top_up = int(dac.n_train * DAC.RETUNE_FRAC)
+        assert len(dac._train) == dac.n_train + n_top_up
+        # the log's own records, in log order: each campaign's sampling runs
+        # come first, and its GA-validation runs never train the model
+        sampling = r1.runs[: dac.n_train] + r2.runs[:n_top_up]
+        assert all(a is b for a, b in zip(dac._train, sampling))
+        validation = r1.runs[dac.n_train:] + r2.runs[n_top_up:]
+        assert validation and not any(r is v for r in dac._train for v in validation)
 
     def test_gborl_warm_start_memory_biased(self):
         rng = np.random.default_rng(0)
