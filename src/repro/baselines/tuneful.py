@@ -31,7 +31,7 @@ class Tuneful(BaseTuner):
         self.bo_min_iters = bo_min_iters
         self.bo_max_iters = bo_max_iters
 
-    def _oat(self, executor: Executor, ds: float, rng) -> list[str]:
+    def _oat(self, executor: Executor, ds: float) -> list[str]:
         """One-at-a-time significance analysis: sweep each parameter over
         ``oat_values`` points, others at defaults; significance = relative
         spread of the observed execution times."""
@@ -55,7 +55,7 @@ class Tuneful(BaseTuner):
         return ranked[:k]
 
     def _tune(self, executor: Executor, ds: float, rng) -> dict:
-        kept = self._oat(executor, ds, rng)
+        kept = self._oat(executor, ds)
         k = len(executor.runs)
         sub = self.space.subspace(kept)
         base = self.space.default_conf()

@@ -8,7 +8,8 @@ the paper cites.
 
 Implementation: Metropolis–Hastings random walk in log-hyperparameter
 space under a weak log-normal prior, thinned to ``n_hyper`` posterior
-samples; EI is averaged over the sampled GPs. The normal CDF comes from
+samples; EI is averaged over the sampled GPs, and a sample the chain
+repeats is fitted and scored once. The normal CDF comes from
 ``_erf``, a vectorized Abramowitz & Stegun 7.1.26 approximation (the
 project does not depend on scipy, and ``math.erf`` is scalar-only).
 """
@@ -114,9 +115,13 @@ def sample_hypers(
 class EIMCMC:
     """EI-MCMC acquisition over a fitted sample set.
 
-    Fits one GP per sampled hyperparameter setting and scores candidates
-    by the *average* EI across the GP ensemble. ``best`` is the incumbent
-    (minimal observed execution time).
+    Scores candidates by the *average* EI across one GP per sampled
+    hyperparameter setting. The chain repeats a ``Hyper`` object when it
+    rejects every proposal between two thinned samples; each distinct
+    sample is fitted and scored once, and its EI is added once per time it
+    was sampled, in sample order, so the average is the same float as over
+    one GP per sample. ``best`` is the incumbent (minimal observed
+    execution time).
     """
 
     X: np.ndarray
@@ -128,14 +133,21 @@ class EIMCMC:
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         hypers = sample_hypers(self.X, self.y, self.rng, n_hyper=self.n_hyper)
-        self._gps = [GP(self.X, self.y, h) for h in hypers]
+        slot: dict[int, int] = {}
+        self._gps: list[GP] = []
+        for h in hypers:
+            if id(h) not in slot:
+                slot[id(h)] = len(self._gps)
+                self._gps.append(GP(self.X, self.y, h))
+        #: Index into ``_gps`` of each sample, in sample order.
+        self._slots = [slot[id(h)] for h in hypers]
         self.best = float(self.y.min())
 
     def score(self, candidates: np.ndarray) -> np.ndarray:
         """Average EI of each candidate row (larger is better)."""
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+        eis = [expected_improvement(*gp.predict(candidates), self.best) for gp in self._gps]
         total = np.zeros(len(candidates))
-        for gp in self._gps:
-            mu, var = gp.predict(candidates)
-            total += expected_improvement(mu, var, self.best)
-        return total / len(self._gps)
+        for k in self._slots:
+            total += eis[k]
+        return total / len(self._slots)

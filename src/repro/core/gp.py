@@ -8,9 +8,11 @@ MCMC inside the acquisition function (EI-MCMC, see
 :mod:`repro.core.acquisition`), exactly as Snoek et al.'s Spearmint does.
 
 Each hyperparameter state is factored exactly once. The kernel matrix
-``K + (noise + jitter)·I`` is assembled in place inside an ``(n+1)×(n+1)``
-buffer whose last row is ``y``; one Cholesky of that bordered matrix yields
-both the factor ``L`` and ``β = L⁻¹y`` (its last row). The marginal
+``K`` is assembled in contiguous memory (elementwise steps on a strided
+view run several times slower), then copied once into an ``(n+1)×(n+1)``
+buffer whose last row is ``y``, and ``noise + jitter`` is added on its
+diagonal. One Cholesky of that bordered matrix yields both the factor
+``L`` and ``β = L⁻¹y`` (its last row). The marginal
 likelihood needs only ``‖β‖²`` and ``diag(L)``, and the posterior mean is
 ``vᵀβ`` with the ``v = L⁻¹K*`` the variance already solves for, so no
 solve is spent on ``y``. (Without scipy, ``np.linalg.solve`` runs a full LU
@@ -54,18 +56,25 @@ class Hyper:
         return Hyper(np.exp(v[:-2]), float(np.exp(v[-2])), float(np.exp(v[-1])))
 
 
-def _rbf_into(out: np.ndarray, A: np.ndarray, B: np.ndarray, hyper: Hyper) -> np.ndarray:
-    """Write the ARD RBF kernel K(A, B) into ``out`` and return it.
+def rbf_kernel(A: np.ndarray, B: np.ndarray, hyper: Hyper) -> np.ndarray:
+    """ARD RBF kernel matrix K(A, B), as a fresh C-contiguous array.
 
     Squared distances are ``(aa + bb) − 2·A·Bᵀ`` on the ARD-scaled rows,
-    clamped at 0; then ``σ²·exp(−½·d²)``. Every step runs in place on
-    ``out``, which may be a view into a larger buffer.
+    clamped at 0; then ``σ²·exp(−½·d²)``, each step in place on the
+    contiguous result. When ``B is A`` the rows are scaled and their norms
+    summed once.
     """
+    same = B is A
     A = A / hyper.lengthscales
-    B = B / hyper.lengthscales
     aa = np.sum(A * A, axis=1)
-    bb = np.sum(B * B, axis=1)
-    np.add(aa[:, None], bb[None, :], out=out)
+    if same:
+        B, bb = A, aa
+    else:
+        B = B / hyper.lengthscales
+        bb = np.sum(B * B, axis=1)
+    out = aa[:, None] + bb[None, :]
+    # ``2.0 * A`` is a fresh operand, so this is a gemm even when B is A
+    # (``A @ A.T`` would be a syrk, which may round differently).
     out -= 2.0 * A @ B.T
     np.maximum(out, 0.0, out=out)
     out *= -0.5
@@ -74,22 +83,19 @@ def _rbf_into(out: np.ndarray, A: np.ndarray, B: np.ndarray, hyper: Hyper) -> np
     return out
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, hyper: Hyper) -> np.ndarray:
-    """ARD RBF kernel matrix K(A, B)."""
-    return _rbf_into(np.empty((len(A), len(B))), A, B, hyper)
-
-
 def _factor(X: np.ndarray, y: np.ndarray, hyper: Hyper) -> tuple[np.ndarray, np.ndarray]:
     """``(L, β)``: the Cholesky factor of ``K + (noise + jitter)·I`` and ``L⁻¹y``.
 
     One ``np.linalg.cholesky`` of ``[[K + (noise + jitter)·I, y], [yᵀ, c]]``,
-    whose factor is ``[[L, 0], [βᵀ, √(c − ‖β‖²)]]``. Raises
-    ``np.linalg.LinAlgError`` when the kernel is not positive definite.
+    whose factor is ``[[L, 0], [βᵀ, √(c − ‖β‖²)]]``. ``K`` is built
+    contiguous, copied into the bordered buffer once, and the noise is added
+    on the buffer's diagonal. Raises ``np.linalg.LinAlgError`` when the
+    kernel is not positive definite.
     """
     n = len(y)
     buf = np.empty((n + 1, n + 1))
-    K = _rbf_into(buf[:n, :n], X, X, hyper)
-    K[np.diag_indices(n)] += hyper.noise_var + _JITTER
+    buf[:n, :n] = rbf_kernel(X, X, hyper)
+    buf[np.diag_indices(n)] += hyper.noise_var + _JITTER
     buf[n, :n] = y
     buf[:n, n] = y
     buf[n, n] = _BORDER

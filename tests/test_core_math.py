@@ -235,6 +235,11 @@ class TestGPFactorization:
             assert np.isfinite(log_marginal_likelihood(X, ys, h)) == factorable, v
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("n,d", [(1, 2), (30, 2), (220, 39)])
+    def test_kernel_of_one_matrix_matches_two_copies(self, n, d):
+        X, _, h = _gp_case(n, d)
+        assert np.array_equal(rbf_kernel(X, X, h), rbf_kernel(X, X.copy(), h))
+
     def test_one_factorization_per_state_and_no_solve_on_y(self, linalg_calls):
         X, y, h = _gp_case(30, 2)
         log_marginal_likelihood(X, y, h)
@@ -289,6 +294,31 @@ class TestAcquisition:
         assert scores.shape == (2,)
         assert np.all(scores >= 0)
         assert scores[0] > scores[1]
+
+    def test_eimcmc_fits_and_scores_each_distinct_sample_once(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        X = rng.random((20, 3))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        hypers = sample_hypers(X, y, np.random.default_rng(1), n_hyper=8)
+        n_distinct = len({id(h) for h in hypers})
+        assert n_distinct < len(hypers)  # the chain repeats a sample
+        cand = rng.random((50, 3))
+        want = np.zeros(len(cand))
+        for h in hypers:
+            want += expected_improvement(*GP(X, y, h).predict(cand), float(y.min()))
+        calls = {"__init__": 0, "predict": 0}
+        for name in calls:
+            real = getattr(GP, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(GP, name, counted)
+        acq = EIMCMC(X, y, np.random.default_rng(1), n_hyper=8)
+        scores = acq.score(cand)
+        assert calls == {"__init__": n_distinct, "predict": n_distinct}
+        assert np.array_equal(scores, want / len(hypers))
 
 
 # ---------------------------------------------------------------- KPCA
