@@ -70,6 +70,5 @@ class GBORL(BaseTuner):
             ei_frac=self.EI_FRAC,
             init_X=self.space.matrix([r.conf for r in warm]),
             init_y=np.array([r.total for r in warm]),
-            local_refine=False,
         )
         return min(executor.runs[n0:], key=lambda r: r.total).conf

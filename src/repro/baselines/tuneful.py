@@ -73,7 +73,6 @@ class Tuneful(BaseTuner):
             rng,
             min_iters=self.bo_min_iters,
             max_iters=self.bo_max_iters,
-            local_refine=False,
         )
         # the best BO run; the OAT sweeps only rank the parameters
         return min(executor.runs[k:], key=lambda r: r.total).conf

@@ -48,6 +48,10 @@ _SKEW = 6.0
 _INFLATION = 4.0
 _TASK_OVERHEAD_S = 0.012
 _SPLIT_GB = 0.128
+#: Log-normal sigma of the run-level noise; each query adds half of it.
+_NOISE = 0.12
+#: Parameters `SimulatedCluster._fit` returns beyond the caller's keys.
+_ADJUSTED = frozenset({"spark.executor.instances", "spark.executor.memoryOverhead", "spark.memory.offHeap.size"})
 
 
 def _gauss(*key: object) -> float:
@@ -122,7 +126,7 @@ class SimulatedCluster:
     measurements).
     """
 
-    def __init__(self, spec: ClusterSpec, profiles: list[QueryProfile], *, seed: int = 0, noise: float = 0.12):
+    def __init__(self, spec: ClusterSpec, profiles: list[QueryProfile], *, seed: int = 0):
         if not profiles:
             raise ValueError("need at least one query profile")
         from repro.core.configspace import TABLE2
@@ -130,7 +134,6 @@ class SimulatedCluster:
         self.spec = spec
         self.profiles = {p.name: p for p in profiles}
         self.seed = seed
-        self.noise = noise
         self.runs: list[RunResult] = []
         self._defaults = {p.name: p.clip(p.default) for p in TABLE2}
 
@@ -161,6 +164,11 @@ class SimulatedCluster:
         )
         return cores, heap, overhead_gb, offheap_gb, _exec_mem(heap, overhead_gb, offheap_gb)
 
+    def _inst_cap(self, cores: int, per_exec_mem: float) -> int:
+        """Most executors of this size the cluster holds, and at least one."""
+        spec = self.spec
+        return max(1, int(min(spec.total_mem_gb // per_exec_mem, spec.total_cores // cores)))
+
     def is_feasible(self, conf: dict) -> bool:
         """Section 5.12's joint resource constraint: the product of
         ``executor.instances`` and per-process resources must fit in the
@@ -174,30 +182,17 @@ class SimulatedCluster:
             return False
         return inst * per_exec_mem <= spec.total_mem_gb and inst * cores <= spec.total_cores
 
-    def sample_feasible(self, space, rng) -> dict:
-        """Random configuration satisfying :meth:`is_feasible`.
-
-        Draws all parameters uniformly, then *repairs*
-        ``spark.executor.instances`` by re-drawing it uniformly over the
-        range that fits the sampled per-executor resources — the paper's
-        Section 5.12 constraint ("the product of spark.executor.instances
-        and the resource amount of a single process [must] be less than
-        the total amount of resources in the cluster") applied at
-        sampling time instead of by rejection, so marginals stay broad."""
-        conf = space.sample_random(rng)
-        return self.repair(conf, space, rng)
-
-    def repair(self, conf: dict, space, rng=None) -> dict:
-        """Clamp ``spark.executor.instances`` into its feasible range given
-        the other resource draws; re-draw it uniformly when ``rng`` is
-        given, else clip."""
-        spec = self.spec
-        given_keys = set(conf)
+    def _fit(self, conf: dict, space) -> tuple[dict, int, int]:
+        """How ``conf`` fits the cluster under Section 5.12's rule: the
+        caller's keys over the Table 2 defaults with the optional memory slabs
+        scaled into the container, and the feasible ``spark.executor.instances``
+        range ``lo..hi`` (its clamped default on a subspace without it)."""
+        given_keys = set(conf) | _ADJUSTED
         conf = {**self._defaults, **conf}
         cores, heap, overhead_gb, offheap_gb, _ = self._slabs(conf)
-        # Section 5.12: heap + overhead + off-heap must fit the container;
-        # scale the two optional slabs down proportionally if they do not.
-        cap = spec.container_max_mem_gb * 2.0
+        # heap + overhead + off-heap must fit the container; scale the two
+        # optional slabs down proportionally if they do not
+        cap = self.spec.container_max_mem_gb * 2.0
         excess = heap + overhead_gb + offheap_gb - cap
         if excess > 0 and overhead_gb + offheap_gb > 0:
             scale = max(0.0, (cap - heap)) / (overhead_gb + offheap_gb)
@@ -206,24 +201,29 @@ class SimulatedCluster:
             conf["spark.executor.memoryOverhead"] = int(overhead_gb * 1024)
             if conf["spark.memory.offHeap.enabled"]:
                 conf["spark.memory.offHeap.size"] = int(offheap_gb * 1024)
-        per_exec_mem = _exec_mem(heap, overhead_gb, offheap_gb)
         if "spark.executor.instances" in space:
             p = space["spark.executor.instances"]
             lo_bound, hi_bound = p.lo, p.hi
-        else:  # subspace without the parameter: clamp around its default
-            lo_bound = hi_bound = self._defaults["spark.executor.instances"]
-        inst_max = int(min(hi_bound, spec.total_mem_gb // per_exec_mem, spec.total_cores // cores))
-        inst_max = max(inst_max, 1)
-        inst_lo = int(min(lo_bound, inst_max))
-        if rng is not None and "spark.executor.instances" in space:
-            conf["spark.executor.instances"] = int(rng.integers(inst_lo, inst_max + 1))
         else:
-            conf["spark.executor.instances"] = int(
-                min(max(conf["spark.executor.instances"], inst_lo), inst_max)
-            )
-        # return only the caller's keys (plus any we had to adjust)
-        adjusted = {"spark.executor.instances", "spark.executor.memoryOverhead", "spark.memory.offHeap.size"}
-        return {k: v for k, v in conf.items() if k in given_keys | adjusted}
+            lo_bound = hi_bound = self._defaults["spark.executor.instances"]
+        hi = int(min(hi_bound, self._inst_cap(cores, _exec_mem(heap, overhead_gb, offheap_gb))))
+        return {k: v for k, v in conf.items() if k in given_keys}, int(min(lo_bound, hi)), hi
+
+    def sample_feasible(self, space, rng) -> dict:
+        """Random configuration satisfying :meth:`is_feasible`: a uniform draw
+        whose ``spark.executor.instances`` is re-drawn uniformly over
+        :meth:`_fit`'s range (repair, not rejection, keeps marginals broad).
+        A one-value range takes no draw from ``rng``."""
+        conf, lo, hi = self._fit(space.sample_random(rng), space)
+        conf["spark.executor.instances"] = int(rng.integers(lo, hi + 1))
+        return conf
+
+    def repair(self, conf: dict, space) -> dict:
+        """``conf`` with ``spark.executor.instances`` clipped into the range
+        of :meth:`_fit`."""
+        conf, lo, hi = self._fit(conf, space)
+        conf["spark.executor.instances"] = int(min(max(conf["spark.executor.instances"], lo), hi))
+        return conf
 
     def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:
         """Execute the (possibly reduced) application at ``ds`` GB; charge its
@@ -249,37 +249,33 @@ class SimulatedCluster:
         gcs: dict[str, float] = {}
         run_id = len(self.runs)
         rug = _rugged_multiplier(conf, self._defaults)
+        cores, heap, _, offheap_gb, per_exec_mem = self._slabs(conf)
+        inst = max(1, min(int(conf["spark.executor.instances"]), self._inst_cap(cores, per_exec_mem)))
         # Run-level noise models shared cluster state (JIT, page cache,
         # co-location); per-query noise is smaller and independent, so the
         # application total does not average the variance away.
         run_noise = 1.0
         if noisy:
-            run_noise = math.exp(self.noise * _gauss(self.seed, run_id, "run", round(ds_gb, 3)))
+            run_noise = math.exp(_NOISE * _gauss(self.seed, run_id, "run", round(ds_gb, 3)))
         for q in names:
-            t, gc = self._query_time(conf, ds_gb, self.profiles[q])
+            t, gc = self._query_time(conf, ds_gb, self.profiles[q], inst, cores, heap, offheap_gb)
             t *= rug
             if noisy:
                 t *= run_noise * math.exp(
-                    0.5 * self.noise * _gauss(self.seed, run_id, q, round(ds_gb, 3))
+                    0.5 * _NOISE * _gauss(self.seed, run_id, q, round(ds_gb, 3))
                 )
             times[q] = t
             gcs[q] = gc
         return RunResult(times=times, conf=dict(conf), ds=float(ds_gb), gc_times=gcs)
 
-    def _resources(self, conf: dict) -> tuple[int, int, float, float]:
-        """Feasible executors, total cores, heap GB and off-heap GB per executor."""
+    def _query_time(
+        self, conf: dict, ds_gb: float, p: QueryProfile, inst: int, cores: int, heap: float, offheap_gb: float
+    ) -> tuple[float, float]:
+        """Time and GC time of one query on ``inst`` executors, each of ``cores``, ``heap`` and ``offheap_gb``."""
         spec = self.spec
-        cores, heap, _, offheap_gb, per_exec_mem = self._slabs(conf)
-        inst = int(conf["spark.executor.instances"])
-        inst = max(1, min(inst, int(spec.total_mem_gb // per_exec_mem), spec.total_cores // cores))
-        return inst, inst * cores, heap, offheap_gb
-
-    def _query_time(self, conf: dict, ds_gb: float, p: QueryProfile) -> tuple[float, float]:
-        spec = self.spec
-        inst, total_cores, heap, offheap_gb = self._resources(conf)
         # Per-query parallelism ceiling: insensitive queries cannot use more
         # resources than their plan exposes (Section 5.11).
-        total_cores = min(total_cores, p.max_cores)
+        total_cores = min(inst * cores, p.max_cores)
         read_gb = ds_gb * p.input_frac
 
         # ---- map stage ----

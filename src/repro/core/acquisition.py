@@ -132,22 +132,16 @@ class EIMCMC:
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        hypers = sample_hypers(self.X, self.y, self.rng, n_hyper=self.n_hyper)
-        slot: dict[int, int] = {}
-        self._gps: list[GP] = []
-        for h in hypers:
-            if id(h) not in slot:
-                slot[id(h)] = len(self._gps)
-                self._gps.append(GP(self.X, self.y, h))
-        #: Index into ``_gps`` of each sample, in sample order.
-        self._slots = [slot[id(h)] for h in hypers]
+        #: Posterior samples in chain order, repeats included.
+        self._hypers = sample_hypers(self.X, self.y, self.rng, n_hyper=self.n_hyper)
+        self._gps = {h: GP(self.X, self.y, h) for h in dict.fromkeys(self._hypers)}
         self.best = float(self.y.min())
 
     def score(self, candidates: np.ndarray) -> np.ndarray:
         """Average EI of each candidate row (larger is better)."""
         candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-        eis = [expected_improvement(*gp.predict(candidates), self.best) for gp in self._gps]
+        eis = {h: expected_improvement(*gp.predict(candidates), self.best) for h, gp in self._gps.items()}
         total = np.zeros(len(candidates))
-        for k in self._slots:
-            total += eis[k]
-        return total / len(self._slots)
+        for h in self._hypers:
+            total += eis[h]
+        return total / len(self._hypers)

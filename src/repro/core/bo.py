@@ -53,7 +53,6 @@ def bo_minimize(
     init_X: np.ndarray | None = None,
     init_y: np.ndarray | None = None,
     fixed_dims: dict[int, float] | None = None,
-    local_refine: bool = True,
     cand_base: np.ndarray | None = None,
 ) -> BOResult:
     """Minimize ``f`` over the box ``[lo, hi]``.
@@ -64,6 +63,8 @@ def bo_minimize(
     *proposed* candidates (DAGP pins the data-size dimension to the
     current size while the surrogate still learns across sizes from the
     seeded samples). ``max_iters`` counts new evaluations of ``f``.
+    A non-empty ``cand_base`` centres most candidates on its rows and adds a
+    cloud around the incumbent; without it, candidates are uniform.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -98,7 +99,9 @@ def bo_minimize(
         # normalize inputs to the unit box for the GP
         Xn = (X - lo) / span
         acq = EIMCMC(Xn, y, rng, n_hyper=n_hyper)
-        if cand_base is not None and len(cand_base):
+        if cand_base is None:
+            cand = apply_fixed(rng.random((n_candidates, d)))
+        else:
             # Propose near known-meaningful points (e.g. LOCAT's projected
             # training configurations: uniform draws in a KPCA latent box
             # mostly fall *off* the data manifold, where the pre-image is
@@ -109,10 +112,6 @@ def bo_minimize(
             scales = rng.uniform(0.02, 0.25, size=(n_loc, 1))
             near = np.clip(rows + scales * rng.standard_normal((n_loc, d)), 0.0, 1.0)
             cand = np.vstack([near, rng.random((n_candidates - n_loc, d))])
-            cand = apply_fixed(cand)
-        else:
-            cand = apply_fixed(rng.random((n_candidates, d)))
-        if local_refine:
             # Densify near the incumbent for exploitation. Only meaningful
             # when the candidate set can actually cover the space — i.e.
             # in low dimension. High-dimensional candidate-based EI
@@ -121,8 +120,7 @@ def bo_minimize(
             # BO convergence (paper Sections 3.3 / 5.5).
             best_i = int(np.argmin(y))
             local = Xn[best_i] + 0.05 * rng.standard_normal((n_candidates // 4, d))
-            local = apply_fixed(np.clip(local, 0.0, 1.0))
-            cand = np.vstack([cand, local])
+            cand = apply_fixed(np.vstack([cand, np.clip(local, 0.0, 1.0)]))
         scores = acq.score(cand)
         j = int(np.argmax(scores))
         ei_max = float(scores[j])

@@ -37,9 +37,14 @@ _JITTER = 1e-8
 _BORDER = 1e300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyper:
-    """GP hyperparameters: ARD lengthscales, signal variance, noise variance."""
+    """GP hyperparameters: ARD lengthscales, signal variance, noise variance.
+
+    Hashed and compared by identity: a Metropolis–Hastings chain that
+    rejects a proposal repeats the same object, so a repeated sample is a
+    repeated key.
+    """
 
     lengthscales: np.ndarray  # (d,) positive
     signal_var: float

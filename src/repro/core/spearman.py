@@ -11,14 +11,24 @@ poor-correlation boundary).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 __all__ = ["rankdata", "spearman", "spearman_matrix"]
 
 
 def rankdata(x: np.ndarray) -> np.ndarray:
-    """Average-tie ranks (1-based), matching ``scipy.stats.rankdata``."""
-    return pd.Series(np.asarray(x, dtype=float)).rank(method="average").to_numpy()
+    """Average-tie ranks (1-based), matching ``scipy.stats.rankdata``.
+
+    Each run of equal values in sorted order, at 1-based positions
+    ``i+1 .. j``, gets their mean ``(i + 1 + j) / 2``, which is exact.
+    """
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:

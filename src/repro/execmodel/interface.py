@@ -76,6 +76,6 @@ class Executor(Protocol):
         """Random configuration over ``space`` that the executor can run."""
         ...
 
-    def repair(self, conf: dict, space, rng=None) -> dict:
-        """``conf`` made runnable; re-draws repaired values when ``rng`` is given."""
+    def repair(self, conf: dict, space) -> dict:
+        """``conf`` made runnable, with out-of-range resources clipped."""
         ...

@@ -81,7 +81,7 @@ class SparkSQLExecutor:
         """Every configuration runs: a session never allocates executors."""
         return space.sample_random(rng)
 
-    def repair(self, conf: dict, space, rng=None) -> dict:
+    def repair(self, conf: dict, space) -> dict:
         return conf
 
     # -- configuration ---------------------------------------------------

@@ -121,8 +121,8 @@ class TestProfiles:
 
 
 class TestSimulator:
-    def _sim(self, bench="TPC-DS", seed=0, noise=0.12):
-        return SimulatedCluster(ARM_CLUSTER, PROFILE_SETS()[bench], seed=seed, noise=noise)
+    def _sim(self, bench="TPC-DS", seed=0):
+        return SimulatedCluster(ARM_CLUSTER, PROFILE_SETS()[bench], seed=seed)
 
     def test_evaluate_deterministic_and_noise_free(self):
         sim = self._sim()
@@ -203,6 +203,37 @@ class TestSimulator:
         rng = np.random.default_rng(0)
         for _ in range(25):
             assert sim.is_feasible(sim.sample_feasible(ARM, rng))
+
+    def test_sample_feasible_on_subspace_clamps_default_without_a_draw(self):
+        sim = self._sim()
+        name = "spark.executor.instances"
+        sub = ARM.subspace([n for n in ARM.names if n != name])
+        default = ARM[name].clip(ARM[name].default)
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            conf = sim.sample_feasible(sub, rng)
+            drawn = sub.sample_random(ref)
+            assert rng.random() == ref.random()  # no draw for the instance count
+            assert sim.is_feasible(conf)
+            inst = conf[name]
+            # the largest feasible count at or below the default
+            assert inst == default or (inst < default and not sim.is_feasible({**conf, name: inst + 1}))
+            slabs = ("spark.executor.memoryOverhead", "spark.memory.offHeap.size")  # may be scaled
+            assert all(conf[k] == v for k, v in drawn.items() if k not in slabs)
+
+    def test_evaluate_derives_executors_once_per_run(self, monkeypatch):
+        sim = self._sim()
+        calls = []
+        real = SimulatedCluster._slabs
+
+        def counted(self, conf):
+            calls.append(conf)
+            return real(self, conf)
+
+        monkeypatch.setattr(SimulatedCluster, "_slabs", counted)
+        r = sim.evaluate(ARM.default_conf(), 100.0)
+        assert len(r.times) == 104
+        assert len(calls) == 1
 
     def test_partial_conf_uses_defaults(self):
         sim = self._sim()

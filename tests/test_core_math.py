@@ -1,5 +1,9 @@
 """Unit tests for LHS, Spearman, GP, acquisition and KPCA."""
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +68,24 @@ class TestSpearman:
 
     def test_ties_averaged(self):
         assert rankdata(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1.0, 2.5, 2.5, 4.0]
+
+    def test_rankdata_matches_pandas_average_rank(self):
+        import pandas as pd  # the reference; the tuner core itself imports no pandas
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            x = rng.integers(0, int(rng.integers(1, 8)), n) * rng.choice([0.5, 1e-3, 7.0])
+            want = pd.Series(x).rank(method="average").to_numpy()
+            assert np.array_equal(rankdata(x), want)
+
+    def test_tuner_core_imports_without_pandas(self):
+        code = (
+            "import sys, repro.core.locat, repro.baselines, repro.execmodel.sim_exec;"
+            "sys.exit('pandas' in sys.modules)"
+        )
+        path = [str(pathlib.Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
     def test_matrix(self):
         rng = np.random.default_rng(0)

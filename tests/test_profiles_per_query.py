@@ -48,7 +48,8 @@ def test_tpcds_profile_invariants(name):
 
 @pytest.mark.parametrize("name", sorted(_TPCDS))
 def test_tpcds_query_simulates_positive_time(name):
-    t, gc = _SIM._query_time(_CONF, 100.0, _TPCDS[name])
+    r = _SIM.evaluate(_CONF, 100.0, [name])
+    t, gc = r.times[name], r.gc_times[name]
     assert t > 0
     assert 0 <= gc < t
 
