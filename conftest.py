@@ -61,8 +61,9 @@ def spark() -> SparkSession:
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
     Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    actually exercise the shuffle path at the tests' SF 0.002-0.003; a
+    reproduction that wants a broadcast join sets the threshold back for
+    that query.
     """
     s = (
         SparkSession.builder.appName("repro")

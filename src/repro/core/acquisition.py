@@ -84,7 +84,7 @@ def sample_hypers(
     y: np.ndarray,
     rng: np.random.Generator,
     *,
-    n_hyper: int = 8,
+    n_hyper: int,
 ) -> list[Hyper]:
     """MH posterior samples of GP hyperparameters given (X, y).
 
@@ -127,7 +127,7 @@ class EIMCMC:
     X: np.ndarray
     y: np.ndarray
     rng: np.random.Generator
-    n_hyper: int = 8
+    n_hyper: int
 
     def __post_init__(self) -> None:
         self.X = np.asarray(self.X, dtype=float)

@@ -3,11 +3,11 @@
 Pipeline (paper Figure 3):
 
 1. **Bootstrap** — ``N_QCSA`` = 30 executions of the *full* application,
-   the first three from Latin Hypercube Sampling and the rest proposed by
-   BO with DAGP over the raw configuration space, recording per-query
-   times. The paper stresses these are not extra samples: "we leverage
-   the samples (executions) performed by the BO iterations"
-   (Section 5.1).
+   recording per-query times: three from Latin Hypercube Sampling, then
+   random feasible configurations up to ``N_IICP`` = 20 runs, then the
+   last 10 proposed by BO with DAGP over the raw configuration space. The
+   paper stresses these are not extra samples: "we leverage the samples
+   (executions) performed by the BO iterations" (Section 5.1).
 2. **QCSA** — classify queries by CV over the bootstrap runs; drop the
    configuration-insensitive ones, leaving the RQA.
 3. **IICP** — CPS (Spearman filter) on the first ``N_IICP`` = 20

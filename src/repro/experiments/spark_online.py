@@ -12,7 +12,7 @@ from pyspark.sql import SparkSession
 from repro.core.configspace import arm_space
 from repro.core.locat import Locat
 from repro.execmodel.spark_exec import SparkSQLExecutor
-from repro.workloads.registry import all_benchmarks
+from repro.workloads.tpch import TPCH_LITE
 
 __all__ = ["run", "session"]
 
@@ -34,7 +34,7 @@ def session() -> SparkSession:
 
 def run(spark: SparkSession) -> pd.DataFrame:
     space = arm_space()
-    ex = SparkSQLExecutor(spark, all_benchmarks()["TPC-H"])
+    ex = SparkSQLExecutor(spark, TPCH_LITE)
     ex.tables(SF)  # generate the data before tuning starts
     loc = Locat(space, seed=2, n_qcsa=8, n_iicp=6, min_iters=3, max_iters=5,
                 n_candidates=60, n_hyper=3)

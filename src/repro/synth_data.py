@@ -1,8 +1,8 @@
 """Synthetic OLAP data at a configurable scale factor.
 
-SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Each generator draws from its own constant seed,
-so the DuckDB oracle sees identical input.
+The TPC-H-lite tables of the live workload. SF=1.0 is roughly TPC-H SF1
+(~1 GB across tables); live runs use SF 0.001-0.01. Each generator draws
+from its own constant seed, so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
@@ -145,151 +145,6 @@ def part(spark: SparkSession, *, sf: float) -> DataFrame:
                 ["SM CASE", "SM BOX", "SM PACK", "MED BAG", "MED BOX", "MED PKG",
                  "LG CASE", "LG BOX", "LG PACK", "JUMBO BOX"], n
             ),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-# --------------------------------------------------------------------------
-# TPC-DS-lite star schema: store_sales fact + date_dim/item/store/customer
-# dimensions. Scaled so store_sales has ~2.8M rows per SF (TPC-DS-ish).
-# --------------------------------------------------------------------------
-
-_N_STORE_SALES_PER_SF = 2_880_000
-_N_ITEM_PER_SF = 18_000
-_N_STORE_PER_SF = 12
-_N_CUSTOMER_DS_PER_SF = 100_000
-_N_DATE = 1826  # 5 years of days starting 1998-01-01
-
-
-def date_dim(spark: SparkSession) -> DataFrame:
-    """TPC-DS date dimension: one row per day, 1998-2002."""
-    dates = pd.to_datetime("1998-01-01") + pd.to_timedelta(np.arange(_N_DATE), unit="D")
-    pdf = pd.DataFrame(
-        {
-            "d_date_sk": np.arange(1, _N_DATE + 1),
-            "d_date": dates,
-            "d_year": dates.year.astype("int64"),
-            "d_moy": dates.month.astype("int64"),
-            "d_qoy": dates.quarter.astype("int64"),
-            "d_dow": dates.dayofweek.astype("int64"),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def item(spark: SparkSession, *, sf: float) -> DataFrame:
-    n = max(1, int(_N_ITEM_PER_SF * sf))
-    g = np.random.default_rng(11)
-    cats = ["Books", "Electronics", "Home", "Jewelry", "Music", "Shoes", "Sports", "Women"]
-    pdf = pd.DataFrame(
-        {
-            "i_item_sk": np.arange(1, n + 1),
-            "i_category": g.choice(cats, n),
-            "i_class": g.choice([f"class{k}" for k in range(1, 17)], n),
-            "i_brand": g.choice([f"brand{k}" for k in range(1, 101)], n),
-            "i_current_price": (g.random(n) * 99 + 0.99).round(2),
-            "i_manufact_id": g.integers(1, 1001, n),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def store(spark: SparkSession, *, sf: float) -> DataFrame:
-    n = max(2, int(_N_STORE_PER_SF * max(sf, 0.1)))
-    g = np.random.default_rng(12)
-    states = ["TN", "CA", "TX", "NY", "WA", "GA", "OH", "IL"]
-    pdf = pd.DataFrame(
-        {
-            "s_store_sk": np.arange(1, n + 1),
-            "s_state": g.choice(states, n),
-            "s_county": g.choice([f"county{k}" for k in range(1, 31)], n),
-            "s_floor_space": g.integers(5_000_000, 10_000_000, n),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def customer_ds(spark: SparkSession, *, sf: float) -> DataFrame:
-    n = max(1, int(_N_CUSTOMER_DS_PER_SF * sf))
-    g = np.random.default_rng(13)
-    pdf = pd.DataFrame(
-        {
-            "c_customer_sk": np.arange(1, n + 1),
-            "c_birth_year": g.integers(1930, 2001, n),
-            "c_preferred_cust_flag": g.choice(["Y", "N"], n),
-            "c_current_addr_state": g.choice(["TN", "CA", "TX", "NY", "WA", "GA"], n),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def store_sales(spark: SparkSession, *, sf: float) -> DataFrame:
-    """TPC-DS store_sales fact table (zipf-skewed item popularity)."""
-    n = max(1, int(_N_STORE_SALES_PER_SF * sf))
-    n_item = max(1, int(_N_ITEM_PER_SF * sf))
-    n_store = max(2, int(_N_STORE_PER_SF * max(sf, 0.1)))
-    n_cust = max(1, int(_N_CUSTOMER_DS_PER_SF * sf))
-    g = np.random.default_rng(10)
-    ranks = np.arange(1, n_item + 1)
-    w = 1.0 / ranks**0.8
-    w /= w.sum()
-    qty = g.integers(1, 101, n)
-    price = (g.random(n) * 199 + 1).round(2)
-    pdf = pd.DataFrame(
-        {
-            "ss_sold_date_sk": g.integers(1, _N_DATE + 1, n),
-            "ss_item_sk": g.choice(ranks, n, p=w),
-            "ss_customer_sk": g.integers(1, n_cust + 1, n),
-            "ss_store_sk": g.integers(1, n_store + 1, n),
-            "ss_quantity": qty,
-            "ss_sales_price": price,
-            "ss_ext_sales_price": (qty * price).round(2),
-            "ss_net_profit": (g.random(n) * 400 - 100).round(2),
-            "ss_wholesale_cost": (g.random(n) * 80 + 1).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-# --------------------------------------------------------------------------
-# HiBench SQL tables: uservisits / rankings (Pavlo benchmark schema).
-# --------------------------------------------------------------------------
-
-_N_USERVISITS_PER_SF = 1_000_000
-_N_RANKINGS_PER_SF = 120_000
-
-
-def uservisits(spark: SparkSession, *, sf: float) -> DataFrame:
-    n = max(1, int(_N_USERVISITS_PER_SF * sf))
-    n_url = max(1, int(_N_RANKINGS_PER_SF * sf))
-    g = np.random.default_rng(20)
-    pdf = pd.DataFrame(
-        {
-            "sourceIP": [
-                f"{a}.{b}.{c}.{d}"
-                for a, b, c, d in zip(
-                    g.integers(1, 224, n), g.integers(0, 256, n),
-                    g.integers(0, 256, n), g.integers(1, 255, n),
-                )
-            ],
-            "destURL": [f"url{k}" for k in g.integers(1, n_url + 1, n)],
-            "visitDate": pd.to_datetime("2000-01-01")
-            + pd.to_timedelta(g.integers(0, 3650, n), unit="D"),
-            "adRevenue": (g.random(n) * 1000).round(2),
-        }
-    )
-    return spark.createDataFrame(pdf)
-
-
-def rankings(spark: SparkSession, *, sf: float) -> DataFrame:
-    n = max(1, int(_N_RANKINGS_PER_SF * sf))
-    g = np.random.default_rng(21)
-    pdf = pd.DataFrame(
-        {
-            "pageURL": [f"url{k}" for k in range(1, n + 1)],
-            "pageRank": g.integers(1, 1001, n),
-            "avgDuration": g.integers(1, 200, n),
         }
     )
     return spark.createDataFrame(pdf)

@@ -1,10 +1,13 @@
-"""Workload registry: the paper's five benchmarks as real Spark SQL.
+"""The types of a live Spark SQL workload.
 
-Each :class:`Query` is a single SQL string executed verbatim by Spark SQL
-(over temp views) *and* by the DuckDB oracle (over the same pandas
-frames), so result equality is checked query-for-query. Each query
-carries its Pavlo category ('selection' / 'join' / 'aggregation',
-Section 5.11) — the same taxonomy the simulator profiles use.
+The one live workload is TPC-H-lite (:mod:`repro.workloads.tpch`); the
+paper's five benchmarks run at paper scale on the simulator's profiles
+(:mod:`repro.cluster.profiles`). Each :class:`Query` is a single SQL
+string executed verbatim by Spark SQL (over temp views) *and* by the
+DuckDB oracle (over the same pandas frames), so result equality is
+checked query-for-query. Each query carries its Pavlo category
+('selection' / 'join' / 'aggregation', Section 5.11) — the same taxonomy
+the simulator profiles use.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 
-__all__ = ["Query", "Benchmark", "register_views", "all_benchmarks"]
+__all__ = ["Query", "Benchmark", "register_views"]
 
 
 @dataclass(frozen=True)
@@ -51,13 +54,3 @@ def register_views(spark: SparkSession, tables: dict[str, DataFrame]) -> None:
     for name, df in tables.items():
         df.createOrReplaceTempView(name)
 
-
-def all_benchmarks() -> dict[str, Benchmark]:
-    """The five benchmarks of Table 1 (TPC-H-lite, TPC-DS-lite, HiBench)."""
-    from repro.workloads.hibench import HIBENCH_BENCHMARKS
-    from repro.workloads.tpcds import TPCDS_LITE
-    from repro.workloads.tpch import TPCH_LITE
-
-    out = {"TPC-H": TPCH_LITE, "TPC-DS": TPCDS_LITE}
-    out.update(HIBENCH_BENCHMARKS)
-    return out

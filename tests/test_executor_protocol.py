@@ -9,7 +9,7 @@ from repro.core.configspace import arm_space
 from repro.execmodel.interface import Executor, RunResult
 from repro.execmodel.sim_exec import make_executor
 from repro.execmodel.spark_exec import SparkSQLExecutor
-from repro.workloads.registry import all_benchmarks
+from repro.workloads.tpch import TPCH_LITE
 
 ARM = arm_space()
 
@@ -20,7 +20,7 @@ def executor_ds(request):
     if request.param == "simulator":
         return make_executor("TPC-H", ARM_CLUSTER), 100.0
     spark = request.getfixturevalue("spark")
-    return SparkSQLExecutor(spark, all_benchmarks()["TPC-H"]), 0.002
+    return SparkSQLExecutor(spark, TPCH_LITE), 0.002
 
 
 def test_is_executor(executor_ds):

@@ -12,7 +12,8 @@ from repro.core.configspace import arm_space
 from repro.core.locat import Locat
 from repro.execmodel.spark_exec import SparkSQLExecutor
 from repro.oracle import assert_equivalent
-from repro.workloads.registry import all_benchmarks, register_views
+from repro.workloads.registry import register_views
+from repro.workloads.tpch import TPCH_LITE
 
 ARM = arm_space()
 SF = 0.002
@@ -20,7 +21,7 @@ SF = 0.002
 
 @pytest.fixture(scope="module")
 def tuned(spark):
-    ex = SparkSQLExecutor(spark, all_benchmarks()["TPC-H"])
+    ex = SparkSQLExecutor(spark, TPCH_LITE)
     loc = Locat(
         ARM,
         seed=2,
@@ -45,7 +46,7 @@ class TestOnlineTuning:
     def test_qcsa_ran_on_real_metrics(self, tuned):
         _, res = tuned
         q = res.extras["qcsa"]
-        assert set(q.cvs) == set(all_benchmarks()["TPC-H"].query_names)
+        assert set(q.cvs) == set(TPCH_LITE.query_names)
         assert len(q.csq) >= 1
 
     def test_iicp_selected_subset(self, tuned):
@@ -66,14 +67,13 @@ class TestOnlineTuning:
     def test_results_correct_under_tuned_conf(self, spark, tuned):
         """The tuned configuration must not change query *results*."""
         ex, res = tuned
-        bm = all_benchmarks()["TPC-H"]
         tables = ex.tables(SF)
         register_views(spark, tables)
         pdfs = {k: v.toPandas() for k, v in tables.items()}
         prev = ex._apply(res.best_conf)
         try:
             for qname in ("Q01", "Q05", "Q12"):
-                q = bm.query(qname)
+                q = TPCH_LITE.query(qname)
                 assert_equivalent(spark.sql(q.sql), q.sql, **pdfs)
         finally:
             ex._restore(prev)

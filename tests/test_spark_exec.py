@@ -3,7 +3,7 @@ import pytest
 
 from repro.core.configspace import arm_space
 from repro.execmodel.spark_exec import RUNTIME_TUNABLE, SparkSQLExecutor
-from repro.workloads.registry import all_benchmarks
+from repro.workloads.tpch import TPCH_LITE
 
 ARM = arm_space()
 SF = 0.002
@@ -11,7 +11,7 @@ SF = 0.002
 
 @pytest.fixture(scope="module")
 def tpch_exec(spark):
-    return SparkSQLExecutor(spark, all_benchmarks()["TPC-H"])
+    return SparkSQLExecutor(spark, TPCH_LITE)
 
 
 class TestSparkExecutor:
@@ -55,7 +55,6 @@ class TestSparkExecutor:
         from repro.oracle import assert_equivalent
         from repro.workloads.registry import register_views
 
-        bm = all_benchmarks()["TPC-H"]
         tables = tpch_exec.tables(SF)
         register_views(spark, tables)
         pdfs = {k: v.toPandas() for k, v in tables.items()}
@@ -67,7 +66,7 @@ class TestSparkExecutor:
         })
         prev = tpch_exec._apply(conf)
         try:
-            q = bm.query("Q05")
+            q = TPCH_LITE.query("Q05")
             assert_equivalent(spark.sql(q.sql), q.sql, **pdfs)
         finally:
             tpch_exec._restore(prev)

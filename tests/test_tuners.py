@@ -43,6 +43,24 @@ class TestLocat:
         assert res.best_time > 0
         assert set(res.best_conf) == set(ARM.names)
 
+    def test_bootstrap_runs_lhs_then_random_then_bo(self, monkeypatch):
+        """3 LHS runs, random feasible runs up to n_iicp, then one DAGP-BO
+        pick per remaining run among n_candidates feasible draws."""
+        ex = _executor()
+        draws = []
+        sample_feasible = ex.sample_feasible
+
+        def counted(space, rng):
+            draws.append(space)
+            return sample_feasible(space, rng)
+
+        monkeypatch.setattr(ex, "sample_feasible", counted)
+        runs = _small_locat(n_candidates=5)._bootstrap(ex, 100.0, np.random.default_rng(7))
+        assert len(runs) == 8
+        lhs = ARM.sample_lhs(3, np.random.default_rng(7))
+        assert [r.conf for r in runs[:3]] == [ex.repair(c, ARM) for c in lhs]
+        assert len(draws) == (6 - 3) + (8 - 6) * 5
+
     def test_best_conf_feasible(self):
         ex = _executor()
         res = _small_locat().tune(ex, 100.0)

@@ -1,6 +1,6 @@
-"""Result-correctness tests: every workload query vs the DuckDB oracle.
+"""Result-correctness tests: every TPC-H-lite query vs the DuckDB oracle.
 
-One test per query of every benchmark. The same SQL text runs on Spark
+One test per query of the live workload. The same SQL text runs on Spark
 (over temp views) and DuckDB (over the same pandas frames); sorted rows
 must match. This is the guarantee that the executor's trials measure
 *correct* executions, not just completed ones.
@@ -8,60 +8,37 @@ must match. This is the guarantee that the executor's trials measure
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.workloads.registry import all_benchmarks, register_views
+from repro.workloads.registry import register_views
+from repro.workloads.tpch import TPCH_LITE
 
 SF = 0.003
 
-_BENCHMARKS = all_benchmarks()
-_CASES = [
-    (bname, q.name) for bname, bm in _BENCHMARKS.items() for q in bm.queries
-]
-
 
 @pytest.fixture(scope="module")
-def table_sets(spark):
-    """Generate each benchmark's tables once (Spark DF + pandas copies)."""
-    out = {}
-    for bname, bm in _BENCHMARKS.items():
-        if bname in ("Scan", "Join", "Aggregation") and "hibench" in out:
-            out[bname] = out["hibench"]
-            continue
-        tables = bm.make_tables(spark, SF)
-        pdfs = {k: v.toPandas() for k, v in tables.items()}
-        entry = (tables, pdfs)
-        out[bname] = entry
-        if bname in ("Scan", "Join", "Aggregation"):
-            out["hibench"] = entry
-    return out
+def tables(spark):
+    """Generate the TPC-H-lite tables once (Spark DF + pandas copies)."""
+    tables = TPCH_LITE.make_tables(spark, SF)
+    return tables, {k: v.toPandas() for k, v in tables.items()}
 
 
-@pytest.mark.parametrize("bname,qname", _CASES)
-def test_query_matches_duckdb(spark, table_sets, bname, qname):
-    tables, pdfs = table_sets[bname]
-    register_views(spark, tables)
-    q = _BENCHMARKS[bname].query(qname)
+@pytest.mark.parametrize("qname", TPCH_LITE.query_names, ids=lambda q: f"TPC-H-{q}")
+def test_query_matches_duckdb(spark, tables, qname):
+    dfs, pdfs = tables
+    register_views(spark, dfs)
+    q = TPCH_LITE.query(qname)
     assert_equivalent(spark.sql(q.sql), q.sql, **pdfs)
 
 
-def test_all_benchmarks_present():
-    assert set(_BENCHMARKS) == {"TPC-H", "TPC-DS", "Join", "Scan", "Aggregation"}
-
-
 def test_query_counts():
-    assert len(_BENCHMARKS["TPC-H"].queries) == 10
-    assert len(_BENCHMARKS["TPC-DS"].queries) == 12
-    for single in ("Join", "Scan", "Aggregation"):
-        assert len(_BENCHMARKS[single].queries) == 1
+    assert len(TPCH_LITE.queries) == 10
 
 
 def test_categories_cover_all_three():
-    for bname in ("TPC-H", "TPC-DS"):
-        cats = {q.category for q in _BENCHMARKS[bname].queries}
-        assert cats == {"selection", "join", "aggregation"}
+    cats = {q.category for q in TPCH_LITE.queries}
+    assert cats == {"selection", "join", "aggregation"}
 
 
 def test_registry_query_lookup():
-    bm = _BENCHMARKS["TPC-H"]
-    assert bm.query("Q01").category == "aggregation"
+    assert TPCH_LITE.query("Q01").category == "aggregation"
     with pytest.raises(KeyError):
-        bm.query("nope")
+        TPCH_LITE.query("nope")
