@@ -10,7 +10,10 @@ On the ARM cluster, for TPC-DS, TPC-H and Join, it runs LOCAT's
 its label, the number of charged runs in the executor's log, and the SHA-1 of
 every run's ``(total, ds, sorted configuration, sorted per-query times, sorted
 per-query GC times)``, so a change to any number a run reports (GC time is
-what Fig 19 reads) shows. Floats are hashed by
+what Fig 19 reads) shows. A second line per campaign hashes the noise-free
+``evaluate`` of each recommendation at its size, the path every figure's
+``best_time`` takes: its ``(ds, sorted per-query times, sorted per-query GC
+times)``. Floats are hashed by
 ``repr``, which round-trips, so a change that keeps every result prints the
 same lines as its parent on the same host. Across hosts the last bits of
 SIMD kernels may differ (see ROADMAP.md, "the byte gate is host-bound").
@@ -34,12 +37,22 @@ def digest(runs) -> str:
     return h.hexdigest()
 
 
+def best_digest(results, ex) -> str:
+    h = hashlib.sha1()
+    for res in results:
+        r = ex.evaluate(res.best_conf, res.ds)
+        h.update(repr((r.ds, sorted(r.times.items()), sorted(r.gc_times.items()))).encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     for bench in BENCHMARKS:
         campaigns = [("LOCAT", list(SPEEDUP_SIZES_GB))] + [(name, BASELINE_DS_GB) for name in SOTA]
         for name, ds in campaigns:
-            _, ex = run_campaign(name, bench, "arm", ds)
+            result, ex = run_campaign(name, bench, "arm", ds)
+            results = list(result.values()) if isinstance(result, dict) else [result]
             print(f"{bench:7s} {name:8s} runs={len(ex.runs):4d} sha1={digest(ex.runs)}", flush=True)
+            print(f"{bench:7s} {name:8s} best={len(results):4d} sha1={best_digest(results, ex)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -63,10 +63,15 @@ class QueryProfile:
             raise ValueError(f"bad category {self.category!r} for {self.name}")
 
 
+def _u01(key: bytes) -> float:
+    """Deterministic uniform(0,1) from the bytes of a key."""
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") / 2**64
+
+
 def _h01(*key: object) -> float:
-    """Deterministic uniform(0,1) from a hashable key."""
-    h = hashlib.sha256("|".join(map(str, key)).encode()).digest()
-    return int.from_bytes(h[:8], "big") / 2**64
+    """Deterministic uniform(0,1) from a hashable key: :func:`_u01` of the
+    ``|``-joined ``str`` of its parts."""
+    return _u01("|".join(map(str, key)).encode())
 
 
 #: The 23 configuration-sensitive TPC-DS queries LOCAT keeps (Section 5.2).

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.cluster.gc_model import gc_seconds
 from repro.cluster.hardware import ClusterSpec
-from repro.cluster.profiles import QueryProfile, _h01
+from repro.cluster.profiles import QueryProfile, _h01, _u01
 from repro.execmodel.interface import RunResult
 
 __all__ = ["SimulatedCluster"]
@@ -54,10 +56,11 @@ _NOISE = 0.12
 _ADJUSTED = frozenset({"spark.executor.instances", "spark.executor.memoryOverhead", "spark.memory.offHeap.size"})
 
 
-def _gauss(*key: object) -> float:
-    """Deterministic standard normal from a hashable key (Box-Muller)."""
-    u1 = max(_h01(*key, "u1"), 1e-12)
-    u2 = _h01(*key, "u2")
+def _gauss(key: bytes) -> float:
+    """Deterministic standard normal from the bytes of a ``|``-joined key
+    (Box-Muller): the normal ``_h01`` draws for the key's parts."""
+    u1 = max(_u01(key + b"|u1"), 1e-12)
+    u2 = _u01(key + b"|u2")
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
@@ -84,7 +87,20 @@ def _bucket(v) -> int:
     return int(v) if isinstance(v, bool) else int(round(float(v) * 16))
 
 
-def _rugged_multiplier(conf: dict, defaults: dict) -> float:
+def _rugged_hashes(conf: dict) -> list[float]:
+    """The rugged hash of each :data:`_RUGGED_PARAMS` value in ``conf``,
+    then of each adjacent pair's values."""
+    names = _RUGGED_PARAMS
+    return [_h01("rug", name, _bucket(conf[name])) for name in names] + [
+        _h01("rug2", a, b, _bucket(conf[a]), _bucket(conf[b])) for a, b in zip(names[::2], names[1::2])
+    ]
+
+
+#: Weight of each of :func:`_rugged_hashes`' terms: pairs count 0.8.
+_RUGGED_WEIGHTS = (1.0,) * len(_RUGGED_PARAMS) + (0.8,) * (len(_RUGGED_PARAMS) // 2)
+
+
+def _rugged_multiplier(conf: dict, default_hashes: list[float]) -> float:
     """Application-level multiplicative bump from the *unimportant*
     parameters — the mechanism behind the paper's Section 5.6 finding
     that "unimportant parameters may counteract the performance
@@ -98,20 +114,42 @@ def _rugged_multiplier(conf: dict, defaults: dict) -> float:
     tuner that leaves them at their defaults (LOCAT after IICP) sees a
     clean low-dimensional landscape; a tuner that searches all 38
     dimensions pays a rugged, unlearnable tax.
+
+    ``default_hashes`` is :func:`_rugged_hashes` of the defaults, which a
+    cluster computes once.
     """
     bump = 0.0
-    names = [n for n in _RUGGED_PARAMS if n in conf]
-    for name in names:
-        bump += abs(
-            _h01("rug", name, _bucket(conf[name]))
-            - _h01("rug", name, _bucket(defaults[name]))
-        )
-    for a, b in zip(names[::2], names[1::2]):
-        bump += 0.8 * abs(
-            _h01("rug2", a, b, _bucket(conf[a]), _bucket(conf[b]))
-            - _h01("rug2", a, b, _bucket(defaults[a]), _bucket(defaults[b]))
-        )
+    for w, h, d in zip(_RUGGED_WEIGHTS, _rugged_hashes(conf), default_hashes):
+        bump += w * abs(h - d)
     return 1.0 + 0.05 * bump
+
+
+class _Columns:
+    """The profiles of one query tuple as float64 columns (``max_cores`` as
+    int64), in the tuple's order. The category columns hold the factor that
+    scales a query's reduce CPU when a parameter's effect applies to its
+    category, and 1.0 elsewhere (``x * 1.0`` is exact)."""
+
+    def __init__(self, profiles: list[QueryProfile]):
+        def col(field: str) -> np.ndarray:
+            return np.array([getattr(p, field) for p in profiles], dtype=np.float64)
+
+        self.names = [p.name for p in profiles]
+        self.keys = [p.name.encode() for p in profiles]  # the noise-key parts
+        self.cpu_per_gb = col("cpu_per_gb")
+        self.shuffle_per_gb = col("shuffle_per_gb")
+        self.reduce_frac = col("reduce_frac")
+        self.mem_per_gb = col("mem_per_gb")
+        self.input_frac = col("input_frac")
+        self.base_s = col("base_s")
+        self.broadcast_kb = col("broadcast_kb")
+        self.max_cores = np.array([p.max_cores for p in profiles], dtype=np.int64)
+        cat = np.array([p.category for p in profiles])
+        self.selection = cat == "selection"
+        # sort-merge pays a sort; hash join is cheaper in memory
+        self.sort_merge = np.where(cat == "join", 1.06, 1.0)
+        self.one_level_agg = np.where(cat == "aggregation", 1.02, 1.0)
+        self.no_radix_sort = np.where(self.selection, 1.0, 1.01)
 
 
 class SimulatedCluster:
@@ -136,6 +174,8 @@ class SimulatedCluster:
         self.seed = seed
         self.runs: list[RunResult] = []
         self._defaults = {p.name: p.clip(p.default) for p in TABLE2}
+        self._rugged_base = _rugged_hashes(self._defaults)
+        self._columns: dict[tuple[str, ...] | None, _Columns] = {}
 
     # -- public API ------------------------------------------------------
     @property
@@ -237,51 +277,46 @@ class SimulatedCluster:
         return self._execute(conf, ds, queries, noisy=False)
 
     # -- model -----------------------------------------------------------
+    def _columns_of(self, queries: list[str] | None) -> _Columns:
+        """The profiles of ``queries`` (all, if ``None``) as columns, built on
+        the first run of that query tuple."""
+        key = None if queries is None else tuple(queries)
+        cols = self._columns.get(key)
+        if cols is None:
+            names = list(self.profiles) if queries is None else list(queries)
+            unknown = [q for q in names if q not in self.profiles]
+            if unknown:
+                raise KeyError(f"unknown queries: {unknown[:5]}")
+            cols = self._columns[key] = _Columns([self.profiles[q] for q in names])
+        return cols
+
     def _execute(self, conf: dict, ds_gb: float, queries: list[str] | None, *, noisy: bool) -> RunResult:
+        """Time and GC time of every query of the run, one array element per
+        query. Terms that depend only on the configuration are Python floats
+        computed once. NumPy applies only operations that are exact on every
+        host (``+ - * /``, ``ceil``, ``//``, ``minimum``/``maximum``,
+        comparisons), so a query's result has the same bits as the same
+        expressions on Python floats, wherever it sits in the run. Every
+        ``exp``, ``log``, ``cos`` and ``**`` stays a scalar ``math`` or
+        Python-float call."""
         # Partial configurations (subspace tuners, IICP grafting) leave the
         # untuned parameters at their Spark defaults.
         conf = {**self._defaults, **conf}
-        names = list(self.profiles) if queries is None else list(queries)
-        unknown = [q for q in names if q not in self.profiles]
-        if unknown:
-            raise KeyError(f"unknown queries: {unknown[:5]}")
-        times: dict[str, float] = {}
-        gcs: dict[str, float] = {}
+        c = self._columns_of(queries)
+        spec = self.spec
         run_id = len(self.runs)
-        rug = _rugged_multiplier(conf, self._defaults)
+        rug = _rugged_multiplier(conf, self._rugged_base)
         cores, heap, _, offheap_gb, per_exec_mem = self._slabs(conf)
         inst = max(1, min(int(conf["spark.executor.instances"]), self._inst_cap(cores, per_exec_mem)))
-        # Run-level noise models shared cluster state (JIT, page cache,
-        # co-location); per-query noise is smaller and independent, so the
-        # application total does not average the variance away.
-        run_noise = 1.0
-        if noisy:
-            run_noise = math.exp(_NOISE * _gauss(self.seed, run_id, "run", round(ds_gb, 3)))
-        for q in names:
-            t, gc = self._query_time(conf, ds_gb, self.profiles[q], inst, cores, heap, offheap_gb)
-            t *= rug
-            if noisy:
-                t *= run_noise * math.exp(
-                    0.5 * _NOISE * _gauss(self.seed, run_id, q, round(ds_gb, 3))
-                )
-            times[q] = t
-            gcs[q] = gc
-        return RunResult(times=times, conf=dict(conf), ds=float(ds_gb), gc_times=gcs)
-
-    def _query_time(
-        self, conf: dict, ds_gb: float, p: QueryProfile, inst: int, cores: int, heap: float, offheap_gb: float
-    ) -> tuple[float, float]:
-        """Time and GC time of one query on ``inst`` executors, each of ``cores``, ``heap`` and ``offheap_gb``."""
-        spec = self.spec
         # Per-query parallelism ceiling: insensitive queries cannot use more
         # resources than their plan exposes (Section 5.11).
-        total_cores = min(inst * cores, p.max_cores)
-        read_gb = ds_gb * p.input_frac
+        total_cores = np.minimum(inst * cores, c.max_cores)
+        read_gb = ds_gb * c.input_frac
 
         # ---- map stage ----
-        cpu_map = p.cpu_per_gb * read_gb / spec.cpu_factor  # core-seconds
-        map_tasks = max(1, math.ceil(read_gb / _SPLIT_GB))
-        map_waves = math.ceil(map_tasks / total_cores)
+        cpu_map = c.cpu_per_gb * read_gb / spec.cpu_factor  # core-seconds
+        map_tasks = np.maximum(1.0, np.ceil(read_gb / _SPLIT_GB))
+        map_waves = np.ceil(map_tasks / total_cores)
         t_task_map = cpu_map / map_tasks
         sched_over = _TASK_OVERHEAD_S * (1.0 + 0.005 * float(conf["spark.scheduler.revive.interval"]))
         sched_over *= 1.0 + 0.1 / max(float(conf["spark.driver.cores"]), 1.0)
@@ -290,9 +325,10 @@ class SimulatedCluster:
         t_map = map_waves * t_task_map + (map_tasks / total_cores) * (sched_over + locality_pen)
 
         # ---- shuffle volume ----
-        S = p.shuffle_per_gb * read_gb  # GB written by mappers
-        if p.broadcast_kb and float(conf["spark.sql.autoBroadcastJoinThreshold"]) >= p.broadcast_kb:
-            S *= 0.35  # broadcast join avoids shuffling the big side's keys
+        S = c.shuffle_per_gb * read_gb  # GB written by mappers
+        threshold = float(conf["spark.sql.autoBroadcastJoinThreshold"])
+        # broadcast join avoids shuffling the big side's keys
+        S = np.where((c.broadcast_kb != 0.0) & (threshold >= c.broadcast_kb), S * 0.35, S)
         zlevel = float(conf["spark.io.compression.zstd.level"])
         cpu_comp = 0.0
         if conf["spark.shuffle.compress"]:
@@ -316,13 +352,13 @@ class SimulatedCluster:
         # spark.shuffle.compress matters (Section 5.4)
         t_shuffle_disk = 2.0 * S_wire / spec.disk_total_gBps
 
-        cpu_red = cpu_map * p.reduce_frac + cpu_comp
-        if conf["spark.sql.join.preferSortMergeJoin"] and p.category == "join":
-            cpu_red *= 1.06  # sort-merge pays a sort; hash join is cheaper in memory
-        if not conf["spark.sql.codegen.aggregate.map.twolevel.enable"] and p.category == "aggregation":
-            cpu_red *= 1.02
-        if not conf["spark.sql.sort.enableRadixSort"] and p.category in ("join", "aggregation"):
-            cpu_red *= 1.01
+        cpu_red = cpu_map * c.reduce_frac + cpu_comp
+        if conf["spark.sql.join.preferSortMergeJoin"]:
+            cpu_red *= c.sort_merge
+        if not conf["spark.sql.codegen.aggregate.map.twolevel.enable"]:
+            cpu_red *= c.one_level_agg
+        if not conf["spark.sql.sort.enableRadixSort"]:
+            cpu_red *= c.no_radix_sort
         if partitions < float(conf["spark.shuffle.sort.bypassMergeThreshold"]):
             cpu_red *= 0.99  # bypass merge-sort for few partitions
 
@@ -330,16 +366,16 @@ class SimulatedCluster:
         exec_frac = float(conf["spark.memory.fraction"]) * (
             1.0 - 0.5 * float(conf["spark.memory.storageFraction"])
         )
-        cores = max(1, total_cores // inst)
-        task_mem_gb = (heap * exec_frac + offheap_gb) / cores
+        slots = np.maximum(1, total_cores // inst)  # concurrent tasks per executor
+        task_mem_gb = (heap * exec_frac + offheap_gb) / slots
         per_task_gb = (S / partitions) * skew_eff * _INFLATION
-        spill_gb = max(0.0, per_task_gb - task_mem_gb) * partitions / skew_eff
+        spill_gb = np.maximum(0.0, per_task_gb - task_mem_gb) * partitions / skew_eff
         buf_eff = 0.97 + 0.03 * min(float(conf["spark.shuffle.file.buffer"]) / 96.0, 1.0)
         spill_comp = 0.6 if conf["spark.shuffle.spill.compress"] else 1.0
         t_spill = 3.0 * spill_gb * spill_comp / (spec.disk_total_gBps * buf_eff)
 
-        reduce_waves = math.ceil(partitions / total_cores)
-        t_red_cpu = max(reduce_waves * (cpu_red / partitions), (cpu_red / partitions) * skew_eff)
+        reduce_waves = np.ceil(partitions / total_cores)
+        t_red_cpu = np.maximum(reduce_waves * (cpu_red / partitions), (cpu_red / partitions) * skew_eff)
         # every reduce task pays fetch/setup cost proportional to the map
         # side fan-in: too many partitions hurts, giving the interior
         # optimum in spark.sql.shuffle.partitions that shifts with data
@@ -358,25 +394,26 @@ class SimulatedCluster:
         # Heap pressure comes from the per-task reduce working set held by
         # each concurrently running task, plus the query's resident state
         # spread over executors.
-        working_per_exec = (S / partitions) * _INFLATION * cores + p.mem_per_gb * read_gb * _INFLATION / inst
+        working_per_exec = (S / partitions) * _INFLATION * slots + c.mem_per_gb * read_gb * _INFLATION / inst
+        frac = float(conf["spark.memory.fraction"])
         gc = gc_seconds(
             cpu_map / total_cores + cpu_red / total_cores,
             heap,
-            float(conf["spark.memory.fraction"]),
+            frac,
             offheap_gb,
             bool(conf["spark.memory.offHeap.enabled"]),
             working_per_exec,
         )
 
-        t = p.base_s + t_map + t_reduce + gc
+        t = c.base_s + t_map + t_reduce + gc
         # per-executor startup/heartbeat overhead: many tiny executors cost
         t += inst * 0.004
         # starving user/metadata memory (fraction near 0.9) causes task
         # retries and OOM-adjacent churn: interior optimum in
         # spark.memory.fraction (too low -> GC above, too high -> this)
-        frac = float(conf["spark.memory.fraction"])
-        if frac > 0.75 and p.category != "selection":
-            t *= 1.0 + 1.2 * (frac - 0.75) ** 2 * min(read_gb / 50.0, 4.0)
+        if frac > 0.75:
+            churn = 1.0 + 1.2 * (frac - 0.75) ** 2 * np.minimum(read_gb / 50.0, 4.0)
+            t *= np.where(c.selection, 1.0, churn)
 
         # small monotone costs for the remaining long-tail parameters
         t *= 1.0 + 0.002 * (float(conf["spark.broadcast.blockSize"]) / 16.0)
@@ -384,4 +421,19 @@ class SimulatedCluster:
             t *= 1.003
         if not conf["spark.rdd.compress"]:
             t *= 1.002
-        return float(t), float(gc)
+        t *= rug
+        if noisy:
+            # Run-level noise models shared cluster state (JIT, page cache,
+            # co-location); per-query noise is smaller and independent, so the
+            # application total does not average the variance away. A query's
+            # key is "seed|run|query|ds", whatever its place in the run.
+            prefix = f"{self.seed!s}|{run_id!s}|".encode()
+            suffix = f"|{round(ds_gb, 3)!s}".encode()
+            run_noise = math.exp(_NOISE * _gauss(prefix + b"run" + suffix))
+            t *= np.array([run_noise * math.exp(0.5 * _NOISE * _gauss(prefix + q + suffix)) for q in c.keys])
+        return RunResult(
+            times=dict(zip(c.names, t.tolist())),
+            conf=dict(conf),
+            ds=float(ds_gb),
+            gc_times=dict(zip(c.names, gc.tolist())),
+        )

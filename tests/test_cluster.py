@@ -244,10 +244,10 @@ class TestSimulator:
         )
 
     def test_rugged_default_neutral(self):
-        from repro.cluster.simulator import _rugged_multiplier
+        from repro.cluster.simulator import _rugged_hashes, _rugged_multiplier
 
         defaults = {p.name: p.clip(p.default) for p in ARM.params}
-        assert _rugged_multiplier(defaults, defaults) == pytest.approx(1.0)
+        assert _rugged_multiplier(defaults, _rugged_hashes(defaults)) == pytest.approx(1.0)
 
     def test_empty_profiles_rejected(self):
         with pytest.raises(ValueError):
