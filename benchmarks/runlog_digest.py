@@ -1,12 +1,13 @@
-"""Digest of 15 tuning campaigns' run logs: a quick same-host gate for refactors.
+"""Digest of 18 tuning campaigns' run logs: a quick same-host gate for refactors.
 
 Run from the root of a checkout::
 
     PYTHONPATH=src python benchmarks/runlog_digest.py
 
 On the ARM cluster, for TPC-DS, TPC-H and Join, it runs LOCAT's
-``tune_multi`` over ``SPEEDUP_SIZES_GB`` and each of the four baselines at
-300 GB, with the seeds every artefact uses. It prints one line per campaign:
+``tune_multi`` over ``SPEEDUP_SIZES_GB``, LOCAT's single-size ``tune`` (the
+campaign of Figs 11/12/15/21) and each of the four baselines at 300 GB, with
+the seeds every artefact uses. It prints one line per campaign:
 its label, the number of charged runs in the executor's log, and the SHA-1 of
 every run's ``(total, ds, sorted configuration, sorted per-query times, sorted
 per-query GC times)``, so a change to any number a run reports (GC time is
@@ -47,12 +48,13 @@ def best_digest(results, ex) -> str:
 
 def main() -> None:
     for bench in BENCHMARKS:
-        campaigns = [("LOCAT", list(SPEEDUP_SIZES_GB))] + [(name, BASELINE_DS_GB) for name in SOTA]
-        for name, ds in campaigns:
+        campaigns = [("LOCAT", "LOCAT", list(SPEEDUP_SIZES_GB)), (f"LOCAT@{BASELINE_DS_GB:g}", "LOCAT", BASELINE_DS_GB)]
+        campaigns += [(name, name, BASELINE_DS_GB) for name in SOTA]
+        for label, name, ds in campaigns:
             result, ex = run_campaign(name, bench, "arm", ds)
             results = list(result.values()) if isinstance(result, dict) else [result]
-            print(f"{bench:7s} {name:8s} runs={len(ex.runs):4d} sha1={digest(ex.runs)}", flush=True)
-            print(f"{bench:7s} {name:8s} best={len(results):4d} sha1={best_digest(results, ex)}", flush=True)
+            print(f"{bench:7s} {label:9s} runs={len(ex.runs):4d} sha1={digest(ex.runs)}", flush=True)
+            print(f"{bench:7s} {label:9s} best={len(results):4d} sha1={best_digest(results, ex)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BaseTuner
 from repro.core.dagp import augment_with_ds, ds_normalize
-from repro.core.result import TuneResult
+from repro.core.result import BaseTuner, TuneResult
 from repro.execmodel.interface import Executor, RunResult
 from repro.mlmodels import GBRTRegressor
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BaseTuner
 from repro.core.bo import bo_minimize
+from repro.core.result import BaseTuner
 from repro.execmodel.interface import Executor
 
 __all__ = ["Tuneful"]

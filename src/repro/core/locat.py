@@ -17,6 +17,13 @@ Pipeline (paper Figure 3):
    only the RQA, with EI-MCMC acquisition, until at least 10 iterations
    ran and EI dropped under ``EI_FRAC`` = 10% of the incumbent.
 
+Online re-tuning across data sizes (Section 3.4): ``Locat`` is a
+:class:`BaseTuner`, so ``tune_multi`` runs one campaign per size. The
+first campaign runs the whole pipeline and leaves its samples and
+QCSA/IICP results on the tuner as ``state``; every later campaign is a
+short DAGP-BO continuation from that state. One tuner instance serves one
+executor's campaigns.
+
 ``use_qcsa`` / ``use_iicp`` switches support the paper's ablations: all
 -parameter tuning (Figure 15's AP vs IP) and grafting QCSA/IICP onto
 other tuners (Figure 21).
@@ -33,7 +40,7 @@ from repro.core.configspace import ConfigSpace
 from repro.core.dagp import DS_BOX, augment_with_ds, ds_normalize
 from repro.core.iicp import N_IICP, IICPResult, cpe, iicp
 from repro.core.qcsa import N_QCSA, QCSAResult, classify, qcsa_from_runs
-from repro.core.result import TuneResult, tune_result
+from repro.core.result import BaseTuner
 from repro.execmodel.interface import Executor, RunResult
 
 __all__ = ["EI_FRAC", "Locat", "LocatState"]
@@ -52,6 +59,7 @@ class LocatState:
     iicp: IICPResult | None
     Z: list[np.ndarray]  # latent (or normalized-conf) coordinates of each run
     runs: list[RunResult]  # the bootstrap and search runs, from the executor's log
+    rng: np.random.Generator  # the stream every re-tune after the first size draws from
 
     @property
     def y(self) -> np.ndarray:
@@ -60,8 +68,10 @@ class LocatState:
         return np.array([sum(t for q, t in r.times.items() if q in rqa) for r in self.runs])
 
 
-class Locat:
+class Locat(BaseTuner):
     """The LOCAT tuner over a :class:`ConfigSpace`."""
+
+    name = "LOCAT"
 
     def __init__(
         self,
@@ -79,8 +89,7 @@ class Locat:
         use_qcsa: bool = True,
         use_iicp: bool = True,
     ):
-        self.space = space
-        self.seed = seed
+        super().__init__(space, seed=seed)
         self.n_qcsa = n_qcsa
         self.n_iicp = n_iicp
         self.min_iters = min_iters
@@ -91,6 +100,7 @@ class Locat:
         self.n_candidates = n_candidates
         self.use_qcsa = use_qcsa
         self.use_iicp = use_iicp
+        self.state: LocatState | None = None  # set by the first campaign
 
     # -- phase 1: bootstrap ---------------------------------------------
     def _bootstrap(self, executor: Executor, ds: float, rng) -> list[RunResult]:
@@ -120,12 +130,13 @@ class Locat:
         return runs
 
     # -- phase 2: DAGP-BO over the reduced problem ----------------------
-    def _refit_extraction(self, state: LocatState) -> None:
+    def _refit_extraction(self) -> None:
         """Refit CPE's KPCA on every configuration sampled so far and
         re-project the sample coordinates. The extraction starts from only
         ``N_IICP`` samples; as DAGP-BO adds evaluations, refitting widens
         the reachable configuration manifold (the GP model "is improved
         after each execution", Section 3.4)."""
+        state = self.state
         ii = state.iicp
         kp = cpe(state.runs, ii.subspace, n_components=ii.n_components)
         state.iicp = IICPResult(ii.space, ii.cps_result, ii.subspace, kp)
@@ -136,19 +147,19 @@ class Locat:
         executor: Executor,
         ds: float,
         rng,
-        state: LocatState,
         *,
         min_iters: int,
         max_iters: int,
     ) -> None:
-        """Run BO at data size ``ds``, appending evaluations to ``state``."""
+        """Run BO at data size ``ds``, appending evaluations to ``self.state``."""
+        state = self.state
         rqa = state.qcsa.rqa
         ds_n = ds_normalize(ds)
         done = 0
         while done < max_iters:
             if state.iicp is not None:
                 if done > 0:
-                    self._refit_extraction(state)
+                    self._refit_extraction()
                 z_lo, z_hi = state.iicp.latent_bounds()
             else:
                 z_lo = np.zeros(self.space.dim)
@@ -192,7 +203,7 @@ class Locat:
             if done >= min_iters and res.ei_history and res.ei_history[-1] < EI_FRAC * abs(res.best_y):
                 break
 
-    def _best_at(self, executor: Executor, ds: float, state: LocatState) -> dict:
+    def _best_at(self, executor: Executor, ds: float) -> dict:
         """Recommend a configuration for size ``ds`` by confirmation runs.
 
         Re-runs the RQA (charged) under the 3 best configurations observed
@@ -201,6 +212,7 @@ class Locat:
         averaged with the first observation; a configuration from another
         size is scored by its re-run alone. Single noisy observations
         over-reward lucky runs (winner's curse), which the re-run damps."""
+        state = self.state
         y = state.y
         at_ds = [i for i, r in enumerate(state.runs) if abs(r.ds - ds) < 1e-9]
         at_ds_set = set(at_ds)
@@ -221,38 +233,26 @@ class Locat:
                 best_i, best_t = i, avg
         return state.runs[best_i].conf
 
-    # -- public API ------------------------------------------------------
-    def tune(self, executor: Executor, ds: float) -> TuneResult:
-        """Full pipeline at one input data size."""
-        return self.tune_multi(executor, [ds])[ds]
-
-    def tune_multi(self, executor: Executor, ds_list: list[float]) -> dict[float, TuneResult]:
-        """Online tuning across changing input data sizes.
-
-        The first size pays the full pipeline; each subsequent size reuses
-        the QCSA/IICP results and every prior DAGP sample, so only a short
-        BO continuation runs — the datasize-awareness the SOTA approaches
-        lack (Figure 20).
-        """
-        rng = np.random.default_rng(self.seed)
-        n0 = len(executor.runs)
-        runs = self._bootstrap(executor, ds_list[0], rng)
-        qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
-            {q: 1.0 for q in executor.query_names}
-        )
-        ii = iicp(runs[: self.n_iicp], self.space) if self.use_iicp else None
-        to_z = ii.to_latent if ii is not None else self.space.to_vector
-        state = LocatState(qres, ii, [to_z(r.conf) for r in runs], runs)
-        extras = {"state": state, "qcsa": qres, "iicp": ii}
-        min_iters, max_iters = self.min_iters, self.max_iters
-        retune_rng = np.random.default_rng(self.seed + 1)
-        out: dict[float, TuneResult] = {}
-        for ds in ds_list:
-            self._search(executor, ds, rng, state, min_iters=min_iters, max_iters=max_iters)
-            best_conf = self._best_at(executor, ds, state)
-            out[ds] = tune_result("LOCAT", executor, best_conf, ds, n0, extras)
-            # every later size is a short continuation from one shared stream
-            rng, extras = retune_rng, {"state": state}
+    # -- the campaign ----------------------------------------------------
+    def _tune(self, executor: Executor, ds: float, rng) -> dict:
+        """The first size pays the full pipeline with ``rng``; each later
+        size reuses the QCSA/IICP results and every prior DAGP sample, so
+        only a short BO continuation runs, drawing from the state's own
+        stream — the datasize-awareness the SOTA approaches lack
+        (Figure 20)."""
+        if self.state is None:
+            runs = self._bootstrap(executor, ds, rng)
+            qres = qcsa_from_runs(runs) if self.use_qcsa else classify(
+                {q: 1.0 for q in executor.query_names}
+            )
+            ii = iicp(runs[: self.n_iicp], self.space) if self.use_iicp else None
+            to_z = ii.to_latent if ii is not None else self.space.to_vector
+            self.state = LocatState(
+                qres, ii, [to_z(r.conf) for r in runs], runs, np.random.default_rng(self.seed + 1)
+            )
+            min_iters, max_iters = self.min_iters, self.max_iters
+        else:
+            rng = self.state.rng
             min_iters, max_iters = self.retune_min_iters, self.retune_max_iters
-            n0 = len(executor.runs)
-        return out
+        self._search(executor, ds, rng, min_iters=min_iters, max_iters=max_iters)
+        return self._best_at(executor, ds)

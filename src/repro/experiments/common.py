@@ -65,13 +65,7 @@ def space_for(name: str) -> ConfigSpace:
 
 def make_tuner(name: str, space: ConfigSpace, seed: int, **kw):
     """Instantiate a tuner by its paper name."""
-    cls = {
-        "LOCAT": Locat,
-        "Tuneful": Tuneful,
-        "DAC": DAC,
-        "GBO-RL": GBORL,
-        "QTune": QTune,
-    }[name]
+    cls = {cls.name: cls for cls in (Locat, Tuneful, DAC, GBORL, QTune)}[name]
     return cls(space, seed=seed, **kw)
 
 

@@ -47,8 +47,8 @@ def run(spark: SparkSession) -> pd.DataFrame:
                 "sf": SF,
                 "n_runs": res.n_runs,
                 "opt_wallclock_s": res.opt_seconds,
-                "rqa_queries": len(res.extras["qcsa"].csq),
-                "cps_kept": len(res.extras["iicp"].cps_result.kept),
+                "rqa_queries": len(loc.state.qcsa.csq),
+                "cps_kept": len(loc.state.iicp.cps_result.kept),
                 "default_exec_s": default_t,
                 "tuned_exec_s": tuned_t,
                 "tuned_over_default_x": default_t / tuned_t,

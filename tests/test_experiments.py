@@ -152,27 +152,31 @@ class TestCampaignMemo:
     KW = dict(n_qcsa=8, n_iicp=6, min_iters=3, max_iters=6, n_candidates=60, n_hyper=3)
 
     @pytest.fixture
-    def executors_built(self, monkeypatch):
+    def built(self, monkeypatch):
+        """The executors and tuners ``run_campaign`` builds, in order."""
         common._run_campaign.cache_clear()
-        built = []
-        make = common.make_executor
+        executors, tuners = [], []
 
-        def counted(*args, **kw):
-            built.append(args)
-            return make(*args, **kw)
+        def recorded(make, out):
+            def wrapped(*args, **kw):
+                out.append(make(*args, **kw))
+                return out[-1]
 
-        monkeypatch.setattr(common, "make_executor", counted)
-        yield built
+            return wrapped
+
+        monkeypatch.setattr(common, "make_executor", recorded(common.make_executor, executors))
+        monkeypatch.setattr(common, "make_tuner", recorded(common.make_tuner, tuners))
+        yield executors, tuners
         common._run_campaign.cache_clear()
 
-    def test_same_key_runs_once(self, executors_built):
+    def test_same_key_runs_once(self, built):
+        executors, tuners = built
         first = common.run_campaign("LOCAT", "Join", "arm", [100.0, 200.0], **self.KW)
         # keyword order does not change the key
         again = common.run_campaign("LOCAT", "Join", "arm", [100.0, 200.0], **dict(reversed(self.KW.items())))
         assert again is first
-        assert len(executors_built) == 1
+        assert len(executors) == 1
         ablated = common.run_campaign("LOCAT", "Join", "arm", [100.0, 200.0], use_iicp=False, **self.KW)
         assert ablated is not first
-        assert len(executors_built) == 2
-        assert ablated[0][100.0].extras["iicp"] is None
-        assert first[0][100.0].extras["iicp"] is not None
+        assert len(executors) == 2
+        assert [t.state.iicp is None for t in tuners] == [False, True]

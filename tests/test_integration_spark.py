@@ -33,31 +33,31 @@ def tuned(spark):
         n_hyper=3,
     )
     res = loc.tune(ex, SF)
-    return ex, res
+    return ex, res, loc.state
 
 
 class TestOnlineTuning:
     def test_pipeline_completes(self, tuned):
-        ex, res = tuned
+        ex, res, _ = tuned
         assert res.best_time > 0
         assert res.n_runs >= 6
         assert res.opt_seconds > 0
 
     def test_qcsa_ran_on_real_metrics(self, tuned):
-        _, res = tuned
-        q = res.extras["qcsa"]
+        _, _, state = tuned
+        q = state.qcsa
         assert set(q.cvs) == set(TPCH_LITE.query_names)
         assert len(q.csq) >= 1
 
     def test_iicp_selected_subset(self, tuned):
-        _, res = tuned
-        ii = res.extras["iicp"]
+        _, _, state = tuned
+        ii = state.iicp
         assert ii is not None
         assert 1 <= len(ii.cps_result.kept) <= 38
         assert ii.n_components >= 2
 
     def test_best_conf_complete_and_legal(self, tuned):
-        _, res = tuned
+        _, res, _ = tuned
         assert set(res.best_conf) == set(ARM.names)
         for p in ARM.params:
             v = res.best_conf[p.name]
@@ -66,7 +66,7 @@ class TestOnlineTuning:
 
     def test_results_correct_under_tuned_conf(self, spark, tuned):
         """The tuned configuration must not change query *results*."""
-        ex, res = tuned
+        ex, res, _ = tuned
         tables = ex.tables(SF)
         register_views(spark, tables)
         pdfs = {k: v.toPandas() for k, v in tables.items()}

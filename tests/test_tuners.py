@@ -74,24 +74,28 @@ class TestLocat:
 
     def test_qcsa_reduces_tpch_queries(self):
         ex = _executor("TPC-H")
-        res = _small_locat(n_qcsa=10, n_iicp=8).tune(ex, 100.0)
-        q = res.extras["qcsa"]
+        locat = _small_locat(n_qcsa=10, n_iicp=8)
+        locat.tune(ex, 100.0)
+        q = locat.state.qcsa
         assert 0 < len(q.csq) < 22
         assert len(q.csq) + len(q.ciq) == 22
 
     def test_use_qcsa_false_keeps_all_queries(self):
         ex = _executor("TPC-H")
-        res = _small_locat(use_qcsa=False).tune(ex, 100.0)
-        assert len(res.extras["qcsa"].csq) == 22
+        locat = _small_locat(use_qcsa=False)
+        locat.tune(ex, 100.0)
+        assert len(locat.state.qcsa.csq) == 22
 
     def test_use_iicp_false_skips_extraction(self):
         ex = _executor()
-        res = _small_locat(use_iicp=False).tune(ex, 100.0)
-        assert res.extras["iicp"] is None
+        locat = _small_locat(use_iicp=False)
+        locat.tune(ex, 100.0)
+        assert locat.state.iicp is None
 
     def test_tune_multi_reuses_and_is_cheaper_per_size(self):
         ex = _executor("TPC-H")
-        out = _small_locat().tune_multi(ex, [100.0, 200.0, 300.0])
+        locat = _small_locat()
+        out = locat.tune_multi(ex, [100.0, 200.0, 300.0])
         assert set(out) == {100.0, 200.0, 300.0}
         first = out[100.0]
         for ds in (200.0, 300.0):
@@ -108,7 +112,7 @@ class TestLocat:
         assert start == len(ex.runs)
         # the DAGP state holds the executor's own records, in log order; each
         # size's slice ends in confirmation re-runs, which the state leaves out
-        state = first.extras["state"]
+        state = locat.state
         in_state = {id(r) for r in state.runs}
         assert [id(r) for r in ex.runs if id(r) in in_state] == [id(r) for r in state.runs]
         for ds in (100.0, 200.0, 300.0):
@@ -120,17 +124,29 @@ class TestLocat:
             assert all(any(r.conf == s.conf for s in state.runs) for r in confirm)
         assert len(state.Z) == len(state.runs)
 
+    def test_successive_tunes_continue_like_tune_multi(self):
+        """One tuner serves one executor's campaigns: a second ``tune`` is
+        the re-tune continuation, exactly the campaign ``tune_multi`` runs
+        at that size."""
+        sizes = [100.0, 300.0]
+        ex = _executor("TPC-H")
+        locat = _small_locat()
+        stepwise = [locat.tune(ex, ds) for ds in sizes]
+        multi = _small_locat().tune_multi(_executor("TPC-H"), sizes)
+        assert stepwise == list(multi.values())  # runs, picks and times alike
+        assert stepwise[1].n_runs < stepwise[0].n_runs / 2
 
-@pytest.mark.parametrize(
-    "name,make",
-    [
-        ("Tuneful", lambda: Tuneful(ARM, seed=1, oat_values=2, bo_min_iters=2, bo_max_iters=4)),
-        ("DAC", lambda: DAC(ARM, seed=1, samples_per_dim=1, ga_gens=4, validate_top=2)),
-        ("GBO-RL", lambda: GBORL(ARM, seed=1, n_warm=3, min_iters=3, max_iters=5)),
-        ("QTune", lambda: QTune(ARM, seed=1, episodes=12)),
-    ],
-)
+
+BASELINES = [
+    ("Tuneful", lambda: Tuneful(ARM, seed=1, oat_values=2, bo_min_iters=2, bo_max_iters=4)),
+    ("DAC", lambda: DAC(ARM, seed=1, samples_per_dim=1, ga_gens=4, validate_top=2)),
+    ("GBO-RL", lambda: GBORL(ARM, seed=1, n_warm=3, min_iters=3, max_iters=5)),
+    ("QTune", lambda: QTune(ARM, seed=1, episodes=12)),
+]
+
+
 class TestBaselines:
+    @pytest.mark.parametrize("name,make", [("LOCAT", _small_locat)] + BASELINES)
     def test_tune_contract(self, name, make):
         ex = _executor()
         res = make().tune(ex, 100.0)
@@ -142,6 +158,7 @@ class TestBaselines:
         assert sum(r.total for r in res.runs) == pytest.approx(res.opt_seconds)
         assert res.best_time > 0
 
+    @pytest.mark.parametrize("name,make", BASELINES)
     def test_rqa_restriction_reduces_cost(self, name, make):
         full = _executor("TPC-H")
         make().tune(full, 100.0)
@@ -151,6 +168,7 @@ class TestBaselines:
         t.tune(reduced_ex, 100.0)
         assert reduced_ex.charged_seconds < full.charged_seconds
 
+    @pytest.mark.parametrize("name,make", BASELINES)
     def test_subspace_tuning(self, name, make):
         ex = _executor()
         t = make()
