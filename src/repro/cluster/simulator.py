@@ -176,6 +176,8 @@ class SimulatedCluster:
         self._defaults = {p.name: p.clip(p.default) for p in TABLE2}
         self._rugged_base = _rugged_hashes(self._defaults)
         self._columns: dict[tuple[str, ...] | None, _Columns] = {}
+        # per key tuple of a configuration given to _fit: the keys it returns
+        self._fit_keys: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # -- public API ------------------------------------------------------
     @property
@@ -190,16 +192,21 @@ class SimulatedCluster:
     def query_categories(self) -> dict[str, str]:
         return {name: p.category for name, p in self.profiles.items()}
 
+    def _get(self, conf: dict, name: str):
+        """``conf``'s value of ``name`` over the Table 2 default."""
+        return conf[name] if name in conf else self._defaults[name]
+
     def _slabs(self, conf: dict) -> tuple[int, float, float, float, float]:
         """Cores, heap GB, overhead GB, off-heap GB and total memory GB of one
-        executor, with cores and heap capped by the container."""
-        spec = self.spec
-        cores = int(min(conf["spark.executor.cores"], spec.container_max_cores))
-        heap = float(min(conf["spark.executor.memory"], spec.container_max_mem_gb))
-        overhead_gb = float(conf["spark.executor.memoryOverhead"]) / 1024.0
+        executor of ``conf`` over the defaults, with cores and heap capped by
+        the container."""
+        spec, get = self.spec, self._get
+        cores = int(min(get(conf, "spark.executor.cores"), spec.container_max_cores))
+        heap = float(min(get(conf, "spark.executor.memory"), spec.container_max_mem_gb))
+        overhead_gb = float(get(conf, "spark.executor.memoryOverhead")) / 1024.0
         offheap_gb = (
-            float(conf["spark.memory.offHeap.size"]) / 1024.0
-            if conf["spark.memory.offHeap.enabled"]
+            float(get(conf, "spark.memory.offHeap.size")) / 1024.0
+            if get(conf, "spark.memory.offHeap.enabled")
             else 0.0
         )
         return cores, heap, overhead_gb, offheap_gb, _exec_mem(heap, overhead_gb, offheap_gb)
@@ -214,10 +221,9 @@ class SimulatedCluster:
         ``executor.instances`` and per-process resources must fit in the
         cluster. The paper's tuners only sample feasible configurations;
         infeasible ones would simply fail YARN allocation."""
-        conf = {**self._defaults, **conf}
         spec = self.spec
         cores, heap, overhead_gb, offheap_gb, per_exec_mem = self._slabs(conf)
-        inst = int(conf["spark.executor.instances"])
+        inst = int(self._get(conf, "spark.executor.instances"))
         if heap + overhead_gb + offheap_gb > spec.container_max_mem_gb * 2.0:
             return False
         return inst * per_exec_mem <= spec.total_mem_gb and inst * cores <= spec.total_cores
@@ -227,9 +233,14 @@ class SimulatedCluster:
         caller's keys over the Table 2 defaults with the optional memory slabs
         scaled into the container, and the feasible ``spark.executor.instances``
         range ``lo..hi`` (its clamped default on a subspace without it)."""
-        given_keys = set(conf) | _ADJUSTED
-        conf = {**self._defaults, **conf}
+        keys = tuple(conf)
+        fit_keys = self._fit_keys.get(keys)
+        if fit_keys is None:  # the caller's keys and _ADJUSTED, in Table 2 order
+            given = set(keys) | _ADJUSTED
+            fit_keys = self._fit_keys[keys] = tuple(k for k in {**self._defaults, **conf} if k in given)
         cores, heap, overhead_gb, offheap_gb, _ = self._slabs(conf)
+        offheap_on = self._get(conf, "spark.memory.offHeap.enabled")
+        conf = dict(conf) if fit_keys == keys else {k: self._get(conf, k) for k in fit_keys}
         # heap + overhead + off-heap must fit the container; scale the two
         # optional slabs down proportionally if they do not
         cap = self.spec.container_max_mem_gb * 2.0
@@ -239,7 +250,7 @@ class SimulatedCluster:
             overhead_gb *= scale
             offheap_gb *= scale
             conf["spark.executor.memoryOverhead"] = int(overhead_gb * 1024)
-            if conf["spark.memory.offHeap.enabled"]:
+            if offheap_on:
                 conf["spark.memory.offHeap.size"] = int(offheap_gb * 1024)
         if "spark.executor.instances" in space:
             p = space["spark.executor.instances"]
@@ -247,7 +258,7 @@ class SimulatedCluster:
         else:
             lo_bound = hi_bound = self._defaults["spark.executor.instances"]
         hi = int(min(hi_bound, self._inst_cap(cores, _exec_mem(heap, overhead_gb, offheap_gb))))
-        return {k: v for k, v in conf.items() if k in given_keys}, int(min(lo_bound, hi)), hi
+        return conf, int(min(lo_bound, hi)), hi
 
     def sample_feasible(self, space, rng) -> dict:
         """Random configuration satisfying :meth:`is_feasible`: a uniform draw

@@ -146,21 +146,39 @@ class ConfigSpace:
     Configurations travel either as ``dict[str, value]`` (what an executor
     consumes) or as normalized ``np.ndarray`` in ``[0, 1]^d`` (what the
     GP / KPCA / BO math consumes).
+
+    The conversions work on whole arrays with the per-parameter bounds
+    computed once, and give the same bits and Python types as the
+    :class:`ConfigParam` methods one parameter at a time: NumPy applies only
+    operations that are exact on every host (``+ - * /``, ``rint``,
+    comparisons, ``where``), in the scalar methods' order.
     """
 
     params: Sequence[ConfigParam]
     _index: dict = field(init=False, repr=False)
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _span: np.ndarray = field(init=False, repr=False, compare=False)
+    _int: np.ndarray = field(init=False, repr=False, compare=False)
+    _bool: np.ndarray = field(init=False, repr=False, compare=False)
+    _defaults: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self._index = {p.name: p for p in self.params}
+        # ``hi - lo`` as the scalar methods compute it, then as a float
+        self._lo = np.array([p.lo for p in self.params], dtype=float)
+        self._span = np.array([p.hi - p.lo for p in self.params], dtype=float)
+        kinds = np.array([p.kind for p in self.params])
+        self._int = np.flatnonzero(kinds == "int")
+        self._bool = np.flatnonzero(kinds == "bool")
+        self._defaults = {p.name: p.clip(p.default) for p in self.params}
 
     # -- introspection ---------------------------------------------------
     @property
     def names(self) -> list[str]:
-        return [p.name for p in self.params]
+        return list(self._index)
 
     @property
     def dim(self) -> int:
@@ -177,11 +195,29 @@ class ConfigSpace:
 
     # -- conversions -----------------------------------------------------
     def default_conf(self) -> dict:
-        return {p.name: p.clip(p.default) for p in self.params}
+        return dict(self._defaults)
+
+    def _normalize(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`ConfigParam.normalize` of every value of the rows ``X``."""
+        Y = (X - self._lo) / self._span
+        Y[:, self._bool] = X.take(self._bool, axis=1) != 0.0
+        return Y
+
+    def _denormalize(self, U: np.ndarray) -> list[dict]:
+        """:meth:`ConfigParam.denormalize` of every value of the rows ``U``:
+        one configuration per row, of Python ints, floats and bools."""
+        # min(1.0, max(0.0, u)) on a Python float sends NaN and -0.0 to 0.0;
+        # np.clip would keep them
+        U = np.minimum(np.where(U > 0.0, U, 0.0), 1.0)
+        X = self._lo + U * self._span
+        out = X.astype(object)
+        out[:, self._int] = np.rint(X.take(self._int, axis=1)).astype(np.int64)
+        out[:, self._bool] = U.take(self._bool, axis=1) >= 0.5
+        return [dict(zip(self._index, row)) for row in out.tolist()]
 
     def to_vector(self, conf: dict) -> np.ndarray:
         """Normalize a configuration dict to a unit-cube vector."""
-        return np.array([p.normalize(conf[p.name]) for p in self.params])
+        return self._normalize(np.array([[conf[n] for n in self._index]], dtype=float))[0]
 
     def from_vector(self, u: np.ndarray) -> dict:
         """Denormalize a unit-cube vector to a configuration dict.
@@ -190,21 +226,24 @@ class ConfigSpace:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {u.shape}")
-        return {p.name: p.denormalize(x) for p, x in zip(self.params, u)}
+        return self._denormalize(u[None, :])[0]
 
     def matrix(self, confs: Iterable[dict]) -> np.ndarray:
         """Stack configurations into an (n, d) normalized matrix."""
-        return np.vstack([self.to_vector(c) for c in confs])
+        names = list(self._index)
+        return self._normalize(np.array([[c[n] for n in names] for c in confs], dtype=float))
 
     # -- sampling --------------------------------------------------------
     def sample_random(self, rng: np.random.Generator) -> dict:
-        return {p.name: p.sample(rng) for p in self.params}
+        """A uniform random configuration: one ``rng.random(dim)`` draw, the
+        same stream as :meth:`ConfigParam.sample` of each parameter in turn."""
+        return self._denormalize(rng.random((1, self.dim)))[0]
 
     def sample_lhs(self, n: int, rng: np.random.Generator) -> list[dict]:
         """Latin-Hypercube sample of ``n`` configurations (BO start points)."""
         from repro.core.lhs import latin_hypercube
 
-        return [self.from_vector(u) for u in latin_hypercube(n, self.dim, rng)]
+        return self._denormalize(latin_hypercube(n, self.dim, rng))
 
     # -- derived spaces --------------------------------------------------
     def subspace(self, names: Sequence[str]) -> "ConfigSpace":

@@ -1,4 +1,6 @@
 """Unit tests for the Table 2 configuration space."""
+import math
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,114 @@ def test_bad_param_definitions_rejected():
         ConfigParam("x", "weird", 1, 0, 10)
     with pytest.raises(ValueError):
         ConfigParam("x", "int", 1, 10, 10)
+
+
+# -- the array conversions against the scalar ConfigParam methods ---------
+
+SPACES = {"ARM": ARM, "x86": X86}
+
+
+def _typed(conf: dict) -> list:
+    return [(k, type(v), v) for k, v in conf.items()]
+
+
+def _tie_units(space) -> list[float]:
+    """For each int parameter, unit coordinates whose value scales exactly to
+    ``k + 0.5``, for an even and an odd ``k`` where one exists, so rounding
+    half away from zero and half to even disagree on one of them."""
+    out = []
+    for p in space.params:
+        if p.kind != "int":
+            continue
+        span = float(p.hi - p.lo)
+        parities = set()
+        for k in range(int(p.lo), int(p.hi)):
+            if k % 2 in parities:
+                continue
+            u = (k + 0.5 - p.lo) / span
+            for x in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)):
+                if p.lo + x * span == k + 0.5:
+                    out.append((p.name, k % 2, x))
+                    parities.add(k % 2)
+                    break
+            if len(parities) == 2:
+                break
+    return out
+
+
+def _edge_rows(space) -> list[np.ndarray]:
+    """Unit points with every edge of the scalar clamp and rounding: below 0,
+    above 1, -0.0, NaN, infinities, exactly 0, 0.5 and 1, and int ties."""
+    rng = np.random.default_rng(11)
+    specials = [-0.3, -1e-300, -0.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, 1.7, np.nan, np.inf, -np.inf]
+    rows = [np.full(space.dim, x) for x in specials]
+    rows += [rng.choice(specials, space.dim) for _ in range(20)]
+    rows += [rng.uniform(-0.5, 1.5, space.dim) for _ in range(20)]
+    names = space.names
+    for name, _, x in _tie_units(space):
+        u = rng.random(space.dim)
+        u[names.index(name)] = x
+        rows.append(u)
+    return rows
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_tie_units_cover_even_and_odd_ties(space):
+    ties = _tie_units(SPACES[space])
+    assert {parity for _, parity, _ in ties} == {0, 1}
+    # half to even keeps an even k, so at least one tie rounds down
+    p = {q.name: q for q in SPACES[space].params}
+    assert any(p[name].denormalize(x) % 2 == 0 for name, parity, x in ties if parity == 0)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_from_vector_equals_scalar_denormalize(space):
+    s = SPACES[space]
+    for u in _edge_rows(s):
+        want = {p.name: p.denormalize(x) for p, x in zip(s.params, u)}
+        assert _typed(s.from_vector(u)) == _typed(want)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_sample_lhs_equals_scalar_denormalize(space):
+    from repro.core.lhs import latin_hypercube
+
+    s = SPACES[space]
+    got = s.sample_lhs(7, np.random.default_rng(5))
+    want = [{p.name: p.denormalize(x) for p, x in zip(s.params, u)}
+            for u in latin_hypercube(7, s.dim, np.random.default_rng(5))]
+    assert [_typed(c) for c in got] == [_typed(c) for c in want]
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_matrix_and_to_vector_equal_scalar_normalize(space):
+    s = SPACES[space]
+    confs = [s.from_vector(u) for u in _edge_rows(s)]
+    # values the denormalized dicts never hold: out of range, ints as floats,
+    # NaN, -0.0 and booleans given as numbers
+    odd = {}
+    for p in s.params:
+        odd[p.name] = {"int": p.lo - 3, "float": float(p.hi) + 0.25, "bool": 0}[p.kind]
+    confs += [odd, {k: -0.0 for k in s.names}, {k: np.nan for k in s.names}, {k: 2.5 for k in s.names}]
+    m = s.matrix(confs)
+    want = [[p.normalize(c[p.name]) for p in s.params] for c in confs]
+    assert m.dtype == np.float64 and m.shape == (len(confs), s.dim)
+    assert repr(m.tolist()) == repr(want)
+    for c, w in zip(confs, want):
+        assert repr(s.to_vector(c).tolist()) == repr(w)
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_sample_random_is_the_scalar_stream(space):
+    s = SPACES[space]
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for i in range(30):
+        assert _typed(s.sample_random(rng)) == _typed({p.name: p.sample(ref) for p in s.params})
+        assert rng.integers(1, 7 + i) == ref.integers(1, 7 + i)  # interleaved draws
+    assert rng.random() == ref.random()
+
+
+def test_default_conf_is_a_fresh_copy():
+    a = ARM.default_conf()
+    a["spark.executor.memory"] = 31
+    assert ARM.default_conf() == {p.name: p.clip(p.default) for p in ARM.params}
