@@ -9,7 +9,9 @@ the paper cites.
 Implementation: Metropolis–Hastings random walk in log-hyperparameter
 space under a weak log-normal prior, thinned to ``n_hyper`` posterior
 samples; EI is averaged over the sampled GPs, and a sample the chain
-repeats is fitted and scored once. The normal CDF comes from
+repeats is fitted and scored once. Each chain state is factored once: the
+GP of a sample reuses the Cholesky factor the chain computed for its
+likelihood. The normal CDF comes from
 ``_erf``, a vectorized Abramowitz & Stegun 7.1.26 approximation (the
 project does not depend on scipy, and ``math.erf`` is scalar-only).
 """
@@ -32,6 +34,9 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _N_BURN = 30
 _THIN = 3
 _STEP = 0.25
+
+_LOG_03 = math.log(0.3)
+_LOG_1EM2 = math.log(1e-2)
 
 
 def norm_pdf(z: np.ndarray) -> np.ndarray:
@@ -71,11 +76,15 @@ def _log_prior(h: Hyper) -> float:
     """Weak log-normal priors keeping hyperparameters in a sane range."""
     lp = 0.0
     # lengthscales ~ LogNormal(log 0.3, 1) on the unit cube
-    lp += float(np.sum(-0.5 * ((np.log(h.lengthscales) - math.log(0.3)) / 1.0) ** 2))
+    z = np.log(h.lengthscales)
+    z -= _LOG_03
+    z *= z
+    z *= -0.5
+    lp += float(z.sum())
     # signal variance ~ LogNormal(0, 1) (targets are standardized)
-    lp += -0.5 * (math.log(h.signal_var) / 1.0) ** 2
+    lp += -0.5 * math.log(h.signal_var) ** 2
     # noise variance ~ LogNormal(log 1e-2, 1.5)
-    lp += -0.5 * ((math.log(h.noise_var) - math.log(1e-2)) / 1.5) ** 2
+    lp += -0.5 * ((math.log(h.noise_var) - _LOG_1EM2) / 1.5) ** 2
     return lp
 
 
@@ -85,29 +94,38 @@ def sample_hypers(
     rng: np.random.Generator,
     *,
     n_hyper: int,
+    _factors: dict | None = None,
 ) -> list[Hyper]:
     """MH posterior samples of GP hyperparameters given (X, y).
 
     ``y`` is standardized internally (mirroring :class:`GP`) so the priors
-    above are scale-free.
+    above are scale-free. A ``_factors`` dict receives, per distinct sample,
+    the ``(L, β)`` its likelihood was computed from (none for a state whose
+    kernel does not factor), so a :class:`GP` of that sample need not factor
+    it again. Only the current and the proposed state's factors are held
+    besides the samples'.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     ys = (y - y.mean()) / (y.std() or 1.0)
     d = X.shape[1]
     cur = Hyper(np.full(d, 0.3), 1.0, 1e-2)
-    cur_lp = log_marginal_likelihood(X, ys, cur) + _log_prior(cur)
+    cur_f: list = []
+    cur_lp = log_marginal_likelihood(X, ys, cur, _keep=cur_f) + _log_prior(cur)
     v = cur.as_log_vector()
     samples: list[Hyper] = []
     total = _N_BURN + _THIN * n_hyper
     for i in range(total):
         prop_v = v + _STEP * rng.standard_normal(len(v))
         prop = Hyper.from_log_vector(prop_v)
-        lp = log_marginal_likelihood(X, ys, prop) + _log_prior(prop)
-        if np.isfinite(lp) and math.log(rng.random() + 1e-300) < lp - cur_lp:
-            cur, cur_lp, v = prop, lp, prop_v
+        prop_f: list = []
+        lp = log_marginal_likelihood(X, ys, prop, _keep=prop_f) + _log_prior(prop)
+        if math.isfinite(lp) and math.log(rng.random() + 1e-300) < lp - cur_lp:
+            cur, cur_lp, v, cur_f = prop, lp, prop_v, prop_f
         if i >= _N_BURN and (i - _N_BURN) % _THIN == 0:
             samples.append(cur)
+            if _factors is not None and cur_f:
+                _factors[cur] = cur_f[0]
     return samples
 
 
@@ -120,8 +138,10 @@ class EIMCMC:
     rejects every proposal between two thinned samples; each distinct
     sample is fitted and scored once, and its EI is added once per time it
     was sampled, in sample order, so the average is the same float as over
-    one GP per sample. ``best`` is the incumbent (minimal observed
-    execution time).
+    one GP per sample. Each GP takes the Cholesky factor the chain kept for
+    its sample: the chain standardized ``y`` with the same operations as
+    :class:`GP`, so the factor is the one ``GP`` would compute. ``best`` is
+    the incumbent (minimal observed execution time).
     """
 
     X: np.ndarray
@@ -133,8 +153,9 @@ class EIMCMC:
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         #: Posterior samples in chain order, repeats included.
-        self._hypers = sample_hypers(self.X, self.y, self.rng, n_hyper=self.n_hyper)
-        self._gps = {h: GP(self.X, self.y, h) for h in dict.fromkeys(self._hypers)}
+        factors: dict = {}
+        self._hypers = sample_hypers(self.X, self.y, self.rng, n_hyper=self.n_hyper, _factors=factors)
+        self._gps = {h: GP(self.X, self.y, h, factors.get(h)) for h in dict.fromkeys(self._hypers)}
         self.best = float(self.y.min())
 
     def score(self, candidates: np.ndarray) -> np.ndarray:

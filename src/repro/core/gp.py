@@ -16,7 +16,10 @@ diagonal. One Cholesky of that bordered matrix yields both the factor
 likelihood needs only ``‖β‖²`` and ``diag(L)``, and the posterior mean is
 ``vᵀβ`` with the ``v = L⁻¹K*`` the variance already solves for, so no
 solve is spent on ``y``. (Without scipy, ``np.linalg.solve`` runs a full LU
-even on a triangular factor.)
+even on a triangular factor.) The MCMC chain of
+:mod:`repro.core.acquisition` keeps the ``(L, β)`` of its current state
+(``log_marginal_likelihood``'s ``_keep``) and hands it to :class:`GP` for
+each posterior sample, so a sampled state is not factored a second time.
 
 Targets are standardized internally so kernel amplitude priors are
 scale-free; posteriors are reported back in the original units.
@@ -35,6 +38,7 @@ _JITTER = 1e-8
 # rounding in K can push ‖β‖² past that bound at tiny noise, so the border is
 # a fixed constant far above any finite ‖β‖² a factorable K produces.
 _BORDER = 1e300
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +75,12 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, hyper: Hyper) -> np.ndarray:
     """
     same = B is A
     A = A / hyper.lengthscales
-    aa = np.sum(A * A, axis=1)
+    aa = (A * A).sum(axis=1)
     if same:
         B, bb = A, aa
     else:
         B = B / hyper.lengthscales
-        bb = np.sum(B * B, axis=1)
+        bb = (B * B).sum(axis=1)
     out = aa[:, None] + bb[None, :]
     # ``2.0 * A`` is a fresh operand, so this is a gemm even when B is A
     # (``A @ A.T`` would be a syrk, which may round differently).
@@ -94,13 +98,13 @@ def _factor(X: np.ndarray, y: np.ndarray, hyper: Hyper) -> tuple[np.ndarray, np.
     One ``np.linalg.cholesky`` of ``[[K + (noise + jitter)·I, y], [yᵀ, c]]``,
     whose factor is ``[[L, 0], [βᵀ, √(c − ‖β‖²)]]``. ``K`` is built
     contiguous, copied into the bordered buffer once, and the noise is added
-    on the buffer's diagonal. Raises ``np.linalg.LinAlgError`` when the
-    kernel is not positive definite.
+    on the buffer's diagonal, a strided view of the flat buffer. Raises
+    ``np.linalg.LinAlgError`` when the kernel is not positive definite.
     """
     n = len(y)
     buf = np.empty((n + 1, n + 1))
     buf[:n, :n] = rbf_kernel(X, X, hyper)
-    buf[np.diag_indices(n)] += hyper.noise_var + _JITTER
+    buf.reshape(-1)[: n * (n + 2) : n + 2] += hyper.noise_var + _JITTER
     buf[n, :n] = y
     buf[:n, n] = y
     buf[n, n] = _BORDER
@@ -108,19 +112,20 @@ def _factor(X: np.ndarray, y: np.ndarray, hyper: Hyper) -> tuple[np.ndarray, np.
     return C[:n, :n], C[n, :n]
 
 
-def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, hyper: Hyper) -> float:
+def log_marginal_likelihood(X: np.ndarray, y: np.ndarray, hyper: Hyper, *, _keep: list | None = None) -> float:
     """Log p(y | X, hyper) under the zero-mean GP prior.
 
     Returns ``-inf`` for numerically unfactorizable kernels so MCMC simply
-    rejects those hyperparameter proposals.
+    rejects those hyperparameter proposals. A ``_keep`` list receives the
+    ``(L, β)`` of a factorable kernel, for a :class:`GP` at the same state.
     """
     try:
         L, beta = _factor(X, y, hyper)
     except np.linalg.LinAlgError:
         return -np.inf
-    return float(
-        -0.5 * beta @ beta - np.sum(np.log(np.diag(L))) - 0.5 * len(y) * np.log(2.0 * np.pi)
-    )
+    if _keep is not None:
+        _keep.append((L, beta))
+    return float(-0.5 * beta @ beta - np.log(L.diagonal()).sum() - 0.5 * len(y) * _LOG_2PI)
 
 
 class GP:
@@ -129,9 +134,12 @@ class GP:
     ``X`` is an ``(n, d)`` input matrix (normalized configurations, plus
     the data-size coordinate for DAGP) and ``y`` the observed execution
     times. ``predict`` returns the posterior mean and variance of eq. 10.
+    ``_chol`` is the ``(L, β)`` that ``log_marginal_likelihood`` kept for
+    the same ``X``, ``hyper`` and standardized ``y``; without it the GP
+    factors its own kernel.
     """
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, hyper: Hyper):
+    def __init__(self, X: np.ndarray, y: np.ndarray, hyper: Hyper, _chol: tuple | None = None):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
@@ -141,7 +149,7 @@ class GP:
         self._y_mean = float(y.mean())
         self._y_std = float(y.std()) or 1.0
         self._yn = (y - self._y_mean) / self._y_std
-        self._L, self._beta = _factor(X, self._yn, hyper)
+        self._L, self._beta = _factor(X, self._yn, hyper) if _chol is None else _chol
 
     def predict(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance at rows of ``Xs`` (original units)."""
@@ -149,7 +157,8 @@ class GP:
         Ks = rbf_kernel(self.X, Xs, self.hyper)  # (n, m)
         v = np.linalg.solve(self._L, Ks)
         mu_n = v.T @ self._beta
-        var_n = self.hyper.signal_var - np.sum(v * v, axis=0)
+        v *= v
+        var_n = self.hyper.signal_var - v.sum(axis=0)
         var_n = np.maximum(var_n, 1e-12)
         mu = mu_n * self._y_std + self._y_mean
         var = var_n * self._y_std**2

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.acquisition import (
+    _N_BURN,
+    _THIN,
     EIMCMC,
     _erf,
     expected_improvement,
@@ -341,6 +343,18 @@ class TestAcquisition:
         scores = acq.score(cand)
         assert calls == {"__init__": n_distinct, "predict": n_distinct}
         assert np.array_equal(scores, want / len(hypers))
+
+    @pytest.mark.parametrize("n_hyper", [1, 8])
+    def test_eimcmc_factors_each_chain_state_once(self, linalg_calls, n_hyper):
+        """The posterior GPs reuse the chain's factors: one Cholesky per
+        chain state, none per sample, and one solve per distinct sample."""
+        rng = np.random.default_rng(1)
+        X = rng.random((20, 3))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        acq = EIMCMC(X, y, np.random.default_rng(1), n_hyper=n_hyper)
+        acq.score(rng.random((50, 3)))
+        n_distinct = len({id(h) for h in acq._hypers})
+        assert linalg_calls == {"cholesky": 1 + _N_BURN + _THIN * n_hyper, "solve": n_distinct}
 
 
 # ---------------------------------------------------------------- KPCA

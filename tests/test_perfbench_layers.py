@@ -3,7 +3,10 @@
 ``perfbench/layers.py`` wraps named entry points of the tuners and the
 simulator from outside the program. If one of those names moves, its
 span silently reads 0; this test runs tiny campaigns under the installed
-wrappers and checks that every simulated-workload span fires.
+wrappers and checks that every simulated-workload span fires. The GP
+layer's spans are also pinned to their exact call counts, so a chain that
+skips the module-level ``log_marginal_likelihood`` for some of its states,
+or evaluates a state twice, shows even while the span still fires.
 """
 import pathlib
 
@@ -31,7 +34,22 @@ SPANS = (
     "baselines.dac",
     "baselines.gborl",
     "baselines.qtune",
+    "gp.lml",
+    "gp.fit",
+    "gp.predict",
+    "acquisition.sample_hypers",
+    "acquisition.score",
+    "kpca.fit",
+    "kpca.preimage",
+    "configspace.sample_random",
+    "simulator.sample_feasible",
+    "mlmodels.gbrt.fit",
+    "mlmodels.gbrt.predict",
 )
+#: Calls of the GP-layer spans in the campaigns below: one ``gp.lml`` per
+#: chain state, one ``gp.fit`` and ``gp.predict`` per distinct posterior
+#: sample, one ``acquisition.sample_hypers`` per BO proposal.
+COUNTS = {"gp.lml": 881, "gp.fit": 77, "gp.predict": 77, "acquisition.sample_hypers": 20}
 
 
 @pytest.fixture
@@ -64,3 +82,7 @@ def traced_calls(monkeypatch):
 
 def test_every_sim_span_fires(traced_calls):
     assert [name for name in SPANS if not traced_calls.get(name)] == []
+
+
+def test_gp_span_counts(traced_calls):
+    assert {name: traced_calls.get(name, 0) for name in COUNTS} == COUNTS
