@@ -18,12 +18,20 @@ times)``. Floats are hashed by
 ``repr``, which round-trips, so a change that keeps every result prints the
 same lines as its parent on the same host. Across hosts the last bits of
 SIMD kernels may differ (see ROADMAP.md, "the byte gate is host-bound").
+
+OpenBLAS also rounds differently at different thread counts, so the script
+pins the native thread pools to one thread before NumPy is imported, as
+perfbench does: its lines do not depend on the caller's environment.
 """
 from __future__ import annotations
 
 import hashlib
+import os
 
-from repro.experiments.common import SOTA, SPEEDUP_SIZES_GB, run_campaign
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from repro.experiments.common import SOTA, SPEEDUP_SIZES_GB, run_campaign  # noqa: E402
 
 BENCHMARKS = ("TPC-DS", "TPC-H", "Join")
 BASELINE_DS_GB = 300.0

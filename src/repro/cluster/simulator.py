@@ -34,6 +34,7 @@ giving them the low CVs of Figure 8.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -52,8 +53,14 @@ _TASK_OVERHEAD_S = 0.012
 _SPLIT_GB = 0.128
 #: Log-normal sigma of the run-level noise; each query adds half of it.
 _NOISE = 0.12
+_INSTANCES = "spark.executor.instances"
+_OVERHEAD = "spark.executor.memoryOverhead"
+_OFFHEAP = "spark.memory.offHeap.size"
+#: The parameters that size one executor, in the order of
+#: `SimulatedCluster._slabs_of`'s arguments.
+_RESOURCES = ("spark.executor.cores", "spark.executor.memory", _OVERHEAD, _OFFHEAP, "spark.memory.offHeap.enabled")
 #: Parameters `SimulatedCluster._fit` returns beyond the caller's keys.
-_ADJUSTED = frozenset({"spark.executor.instances", "spark.executor.memoryOverhead", "spark.memory.offHeap.size"})
+_ADJUSTED = frozenset({_INSTANCES, _OVERHEAD, _OFFHEAP})
 
 
 def _gauss(key: bytes) -> float:
@@ -197,18 +204,20 @@ class SimulatedCluster:
         return conf[name] if name in conf else self._defaults[name]
 
     def _slabs(self, conf: dict) -> tuple[int, float, float, float, float]:
+        """:meth:`_slabs_of` the :data:`_RESOURCES` values of ``conf`` over the
+        defaults."""
+        get = self._get
+        return self._slabs_of(*[get(conf, name) for name in _RESOURCES])
+
+    def _slabs_of(self, cores, memory, overhead, offheap, offheap_on) -> tuple[int, float, float, float, float]:
         """Cores, heap GB, overhead GB, off-heap GB and total memory GB of one
-        executor of ``conf`` over the defaults, with cores and heap capped by
-        the container."""
-        spec, get = self.spec, self._get
-        cores = int(min(get(conf, "spark.executor.cores"), spec.container_max_cores))
-        heap = float(min(get(conf, "spark.executor.memory"), spec.container_max_mem_gb))
-        overhead_gb = float(get(conf, "spark.executor.memoryOverhead")) / 1024.0
-        offheap_gb = (
-            float(get(conf, "spark.memory.offHeap.size")) / 1024.0
-            if get(conf, "spark.memory.offHeap.enabled")
-            else 0.0
-        )
+        executor of these :data:`_RESOURCES` values, with cores and heap capped
+        by the container."""
+        spec = self.spec
+        cores = int(min(cores, spec.container_max_cores))
+        heap = float(min(memory, spec.container_max_mem_gb))
+        overhead_gb = float(overhead) / 1024.0
+        offheap_gb = float(offheap) / 1024.0 if offheap_on else 0.0
         return cores, heap, overhead_gb, offheap_gb, _exec_mem(heap, overhead_gb, offheap_gb)
 
     def _inst_cap(self, cores: int, per_exec_mem: float) -> int:
@@ -228,37 +237,56 @@ class SimulatedCluster:
             return False
         return inst * per_exec_mem <= spec.total_mem_gb and inst * cores <= spec.total_cores
 
-    def _fit(self, conf: dict, space) -> tuple[dict, int, int]:
-        """How ``conf`` fits the cluster under Section 5.12's rule: the
-        caller's keys over the Table 2 defaults with the optional memory slabs
-        scaled into the container, and the feasible ``spark.executor.instances``
-        range ``lo..hi`` (its clamped default on a subspace without it)."""
-        keys = tuple(conf)
-        fit_keys = self._fit_keys.get(keys)
-        if fit_keys is None:  # the caller's keys and _ADJUSTED, in Table 2 order
-            given = set(keys) | _ADJUSTED
-            fit_keys = self._fit_keys[keys] = tuple(k for k in {**self._defaults, **conf} if k in given)
-        cores, heap, overhead_gb, offheap_gb, _ = self._slabs(conf)
-        offheap_on = self._get(conf, "spark.memory.offHeap.enabled")
-        conf = dict(conf) if fit_keys == keys else {k: self._get(conf, k) for k in fit_keys}
-        # heap + overhead + off-heap must fit the container; scale the two
-        # optional slabs down proportionally if they do not
+    def _instance_bounds(self, space) -> tuple[int, int]:
+        """``space``'s range of ``spark.executor.instances``, or its default
+        twice on a subspace without it."""
+        if _INSTANCES in space:
+            p = space[_INSTANCES]
+            return p.lo, p.hi
+        return self._defaults[_INSTANCES], self._defaults[_INSTANCES]
+
+    def _fit_values(self, values, bounds: tuple[int, int]) -> tuple[int | None, int | None, int, int]:
+        """Section 5.12's rule on one executor's :data:`_RESOURCES` ``values``,
+        Python scalars: heap + overhead + off-heap must fit the container, so
+        the two optional slabs scale down proportionally if they do not. Returns
+        the scaled overhead and off-heap MB (``None`` where a value stays) and
+        the feasible ``spark.executor.instances`` range ``lo..hi`` within
+        ``bounds``."""
+        cores, heap, overhead_gb, offheap_gb, _ = self._slabs_of(*values)
+        overhead_mb = offheap_mb = None
         cap = self.spec.container_max_mem_gb * 2.0
         excess = heap + overhead_gb + offheap_gb - cap
         if excess > 0 and overhead_gb + offheap_gb > 0:
             scale = max(0.0, (cap - heap)) / (overhead_gb + offheap_gb)
             overhead_gb *= scale
             offheap_gb *= scale
-            conf["spark.executor.memoryOverhead"] = int(overhead_gb * 1024)
-            if offheap_on:
-                conf["spark.memory.offHeap.size"] = int(offheap_gb * 1024)
-        if "spark.executor.instances" in space:
-            p = space["spark.executor.instances"]
-            lo_bound, hi_bound = p.lo, p.hi
-        else:
-            lo_bound = hi_bound = self._defaults["spark.executor.instances"]
+            overhead_mb = int(overhead_gb * 1024)
+            if values[-1]:  # off-heap enabled
+                offheap_mb = int(offheap_gb * 1024)
+        lo_bound, hi_bound = bounds
         hi = int(min(hi_bound, self._inst_cap(cores, _exec_mem(heap, overhead_gb, offheap_gb))))
-        return conf, int(min(lo_bound, hi)), hi
+        return overhead_mb, offheap_mb, int(min(lo_bound, hi)), hi
+
+    def _fit(self, conf: dict, space) -> tuple[dict, int, int]:
+        """How ``conf`` fits the cluster under :meth:`_fit_values`: the caller's
+        keys over the Table 2 defaults with the optional memory slabs scaled
+        into the container, and the feasible ``spark.executor.instances``
+        range ``lo..hi``."""
+        keys = tuple(conf)
+        fit_keys = self._fit_keys.get(keys)
+        if fit_keys is None:  # the caller's keys and _ADJUSTED, in Table 2 order
+            given = set(keys) | _ADJUSTED
+            fit_keys = self._fit_keys[keys] = tuple(k for k in {**self._defaults, **conf} if k in given)
+        get = self._get
+        overhead_mb, offheap_mb, lo, hi = self._fit_values(
+            [get(conf, name) for name in _RESOURCES], self._instance_bounds(space)
+        )
+        conf = dict(conf) if fit_keys == keys else {k: get(conf, k) for k in fit_keys}
+        if overhead_mb is not None:
+            conf[_OVERHEAD] = overhead_mb
+        if offheap_mb is not None:
+            conf[_OFFHEAP] = offheap_mb
+        return conf, lo, hi
 
     def sample_feasible(self, space, rng) -> dict:
         """Random configuration satisfying :meth:`is_feasible`: a uniform draw
@@ -266,14 +294,55 @@ class SimulatedCluster:
         :meth:`_fit`'s range (repair, not rejection, keeps marginals broad).
         A one-value range takes no draw from ``rng``."""
         conf, lo, hi = self._fit(space.sample_random(rng), space)
-        conf["spark.executor.instances"] = int(rng.integers(lo, hi + 1))
+        conf[_INSTANCES] = int(rng.integers(lo, hi + 1))
         return conf
+
+    def sample_candidates(self, space, rng, n: int) -> tuple[np.ndarray, Callable[[int], dict]]:
+        """``n`` :meth:`sample_feasible` draws at once: ``space.matrix`` of the
+        ``n`` configurations, with the same stream and bits, and a function
+        that builds the configuration of row ``j``.
+
+        Each candidate still takes its own ``rng.random(dim)`` and then its
+        instance-count draw. The loop computes only :meth:`_fit_values` of the
+        candidate's resource values, each a :meth:`ConfigParam.denormalize`;
+        the other values convert as one matrix, and a row's configuration is
+        built only when asked for."""
+        col = {name: i for i, name in enumerate(space.names)}
+        # per resource value the draw decides: its index and column
+        drawn = [(k, col[name], space[name].denormalize) for k, name in enumerate(_RESOURCES) if name in col]
+        values = [self._defaults[name] for name in _RESOURCES]
+        bounds = self._instance_bounds(space)
+        U = np.empty((n, space.dim))
+        draws, scaled = [], []  # scaled: (row, parameter, MB) of each scaled slab
+        for i in range(n):
+            u = rng.random(out=U[i])
+            for k, c, denormalize in drawn:
+                values[k] = denormalize(u[c])
+            overhead_mb, offheap_mb, lo, hi = self._fit_values(values, bounds)
+            draws.append(int(rng.integers(lo, hi + 1)))
+            if overhead_mb is not None:
+                scaled.append((i, _OVERHEAD, overhead_mb))
+            if offheap_mb is not None:
+                scaled.append((i, _OFFHEAP, offheap_mb))
+        X = space.values(U)
+        for i, name, mb in scaled:
+            if name in col:
+                X[i, col[name]] = mb
+        if _INSTANCES in col:
+            X[:, col[_INSTANCES]] = draws
+
+        def conf(j: int) -> dict:
+            c, _, _ = self._fit(space.from_vector(U[j]), space)
+            c[_INSTANCES] = draws[j]
+            return c
+
+        return space.normalize(X), conf
 
     def repair(self, conf: dict, space) -> dict:
         """``conf`` with ``spark.executor.instances`` clipped into the range
         of :meth:`_fit`."""
         conf, lo, hi = self._fit(conf, space)
-        conf["spark.executor.instances"] = int(min(max(conf["spark.executor.instances"], lo), hi))
+        conf[_INSTANCES] = int(min(max(conf[_INSTANCES], lo), hi))
         return conf
 
     def run(self, conf: dict, ds: float, queries: list[str] | None = None) -> RunResult:

@@ -197,27 +197,43 @@ class ConfigSpace:
     def default_conf(self) -> dict:
         return dict(self._defaults)
 
-    def _normalize(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`ConfigParam.normalize` of every value of the rows ``X``."""
+    def normalize(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`ConfigParam.normalize` of every value of the (n, d) float
+        rows ``X``, one column per parameter in order."""
         Y = (X - self._lo) / self._span
         Y[:, self._bool] = X.take(self._bool, axis=1) != 0.0
         return Y
 
-    def _denormalize(self, U: np.ndarray) -> list[dict]:
-        """:meth:`ConfigParam.denormalize` of every value of the rows ``U``:
-        one configuration per row, of Python ints, floats and bools."""
+    def _clamp_scale(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``U`` clamped into the unit cube, and ``lo + u·(hi − lo)``
+        of them: the first steps of :meth:`ConfigParam.denormalize`."""
         # min(1.0, max(0.0, u)) on a Python float sends NaN and -0.0 to 0.0;
         # np.clip would keep them
         U = np.minimum(np.where(U > 0.0, U, 0.0), 1.0)
-        X = self._lo + U * self._span
+        return U, self._lo + U * self._span
+
+    def _denormalize(self, U: np.ndarray) -> list[dict]:
+        """:meth:`ConfigParam.denormalize` of every value of the rows ``U``:
+        one configuration per row, of Python ints, floats and bools."""
+        U, X = self._clamp_scale(U)
         out = X.astype(object)
         out[:, self._int] = np.rint(X.take(self._int, axis=1)).astype(np.int64)
         out[:, self._bool] = U.take(self._bool, axis=1) >= 0.5
         return [dict(zip(self._index, row)) for row in out.tolist()]
 
+    def values(self, U: np.ndarray) -> np.ndarray:
+        """The values of the configurations :meth:`from_vector` gives the
+        unit rows ``U``, as an (n, d) float array with booleans as 1.0 and
+        0.0: what :meth:`matrix` reads from those dicts, without building
+        them."""
+        U, X = self._clamp_scale(U)
+        X[:, self._int] = np.rint(X.take(self._int, axis=1))
+        X[:, self._bool] = U.take(self._bool, axis=1) >= 0.5
+        return X
+
     def to_vector(self, conf: dict) -> np.ndarray:
         """Normalize a configuration dict to a unit-cube vector."""
-        return self._normalize(np.array([[conf[n] for n in self._index]], dtype=float))[0]
+        return self.normalize(np.array([[conf[n] for n in self._index]], dtype=float))[0]
 
     def from_vector(self, u: np.ndarray) -> dict:
         """Denormalize a unit-cube vector to a configuration dict.
@@ -231,7 +247,7 @@ class ConfigSpace:
     def matrix(self, confs: Iterable[dict]) -> np.ndarray:
         """Stack configurations into an (n, d) normalized matrix."""
         names = list(self._index)
-        return self._normalize(np.array([[c[n] for n in names] for c in confs], dtype=float))
+        return self.normalize(np.array([[c[n] for n in names] for c in confs], dtype=float))
 
     # -- sampling --------------------------------------------------------
     def sample_random(self, rng: np.random.Generator) -> dict:

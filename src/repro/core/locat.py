@@ -123,10 +123,9 @@ class Locat(BaseTuner):
             Xn = augment_with_ds(self.space.matrix([r.conf for r in runs]), [r.ds for r in runs])
             y = np.array([r.total for r in runs])
             acq = EIMCMC(Xn, y, rng, n_hyper=self.n_hyper)
-            cand_confs = [executor.sample_feasible(self.space, rng) for _ in range(self.n_candidates)]
-            cand = augment_with_ds(self.space.matrix(cand_confs), ds)
-            j = int(np.argmax(acq.score(cand)))
-            runs.append(executor.run(cand_confs[j], ds))
+            cand, conf_of = executor.sample_candidates(self.space, rng, self.n_candidates)
+            j = int(np.argmax(acq.score(augment_with_ds(cand, ds))))
+            runs.append(executor.run(conf_of(j), ds))
         return runs
 
     # -- phase 2: DAGP-BO over the reduced problem ----------------------

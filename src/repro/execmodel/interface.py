@@ -17,7 +17,9 @@ Both substrates implement :class:`Executor` directly: the analytic
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
+
+import numpy as np
 
 __all__ = ["RunResult", "Executor"]
 
@@ -74,6 +76,13 @@ class Executor(Protocol):
 
     def sample_feasible(self, space, rng) -> dict:
         """Random configuration over ``space`` that the executor can run."""
+        ...
+
+    def sample_candidates(self, space, rng, n: int) -> tuple[np.ndarray, Callable[[int], dict]]:
+        """``n`` ``sample_feasible`` draws at once, with the same stream:
+        ``space.matrix`` of the ``n`` configurations, bit for bit, and a
+        function that builds the configuration of row ``j``, the dict that
+        ``sample_feasible`` returned for that draw."""
         ...
 
     def repair(self, conf: dict, space) -> dict:

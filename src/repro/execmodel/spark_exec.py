@@ -19,7 +19,9 @@ axis, scaled to laptop data); generated tables are cached per size.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
+import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.execmodel.interface import RunResult
@@ -80,6 +82,13 @@ class SparkSQLExecutor:
     def sample_feasible(self, space, rng) -> dict:
         """Every configuration runs: a session never allocates executors."""
         return space.sample_random(rng)
+
+    def sample_candidates(self, space, rng, n: int) -> tuple[np.ndarray, Callable[[int], dict]]:
+        """``n`` :meth:`sample_feasible` draws at once, as one ``rng.random((n,
+        dim))`` draw: their normalized matrix and the configuration of row
+        ``j``."""
+        U = rng.random((n, space.dim))
+        return space.normalize(space.values(U)), lambda j: space.from_vector(U[j])
 
     def repair(self, conf: dict, space) -> dict:
         return conf

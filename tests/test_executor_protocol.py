@@ -59,3 +59,16 @@ def test_repair_of_sample(executor_ds):
             assert ex.is_feasible(fixed)
         else:
             assert fixed == conf
+
+
+def test_sample_candidates_are_sample_feasible_draws(executor_ds):
+    """The batch is ``n`` ``sample_feasible`` draws: the same matrix bytes,
+    the same configuration for each row, and the generator where they
+    leave it."""
+    ex, _ = executor_ds
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    want = [ex.sample_feasible(ARM, a) for _ in range(20)]
+    m, conf = ex.sample_candidates(ARM, b, 20)
+    assert m.tobytes() == ARM.matrix(want).tobytes() and m.shape == (20, ARM.dim)
+    assert [conf(j) for j in range(20)] == want
+    assert b.random() == a.random()

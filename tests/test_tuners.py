@@ -45,21 +45,28 @@ class TestLocat:
 
     def test_bootstrap_runs_lhs_then_random_then_bo(self, monkeypatch):
         """3 LHS runs, random feasible runs up to n_iicp, then one DAGP-BO
-        pick per remaining run among n_candidates feasible draws."""
+        pick per remaining run among n_candidates feasible draws, drawn as
+        one batch."""
         ex = _executor()
-        draws = []
-        sample_feasible = ex.sample_feasible
+        draws, batches = [], []
+        sample_feasible, sample_candidates = ex.sample_feasible, ex.sample_candidates
 
         def counted(space, rng):
             draws.append(space)
             return sample_feasible(space, rng)
 
+        def counted_batch(space, rng, n):
+            batches.append(n)
+            return sample_candidates(space, rng, n)
+
         monkeypatch.setattr(ex, "sample_feasible", counted)
+        monkeypatch.setattr(ex, "sample_candidates", counted_batch)
         runs = _small_locat(n_candidates=5)._bootstrap(ex, 100.0, np.random.default_rng(7))
         assert len(runs) == 8
         lhs = ARM.sample_lhs(3, np.random.default_rng(7))
         assert [r.conf for r in runs[:3]] == [ex.repair(c, ARM) for c in lhs]
-        assert len(draws) == (6 - 3) + (8 - 6) * 5
+        assert len(draws) == 6 - 3
+        assert batches == [5] * (8 - 6)
 
     def test_best_conf_feasible(self):
         ex = _executor()
