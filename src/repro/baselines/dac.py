@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dagp import augment_with_ds, ds_normalize
+from repro.core.dagp import augment_with_ds
 from repro.core.result import BaseTuner, TuneResult
 from repro.execmodel.interface import Executor, RunResult
 from repro.mlmodels import GBRTRegressor
@@ -56,9 +56,8 @@ class DAC(BaseTuner):
         """Genetic search on the surrogate; returns top candidate vectors."""
         d = self.space.dim
         pop = rng.random((self.ga_pop, d))
-        ds_col = np.full((self.ga_pop, 1), ds_normalize(ds))
         for _ in range(self.ga_gens):
-            fit = model.predict(np.hstack([pop, ds_col]))
+            fit = model.predict(augment_with_ds(pop, ds))
             order = np.argsort(fit)
             elite = pop[order[: self.ga_pop // 4]]
             children = []
@@ -70,7 +69,7 @@ class DAC(BaseTuner):
                 child = np.where(mut, rng.random(d), child)
                 children.append(child)
             pop = np.vstack([elite, children])
-        fit = model.predict(np.hstack([pop, ds_col]))
+        fit = model.predict(augment_with_ds(pop, ds))
         order = np.argsort(fit)
         return [pop[i] for i in order[: self.validate_top]]
 

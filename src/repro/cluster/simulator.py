@@ -183,8 +183,6 @@ class SimulatedCluster:
         self._defaults = {p.name: p.clip(p.default) for p in TABLE2}
         self._rugged_base = _rugged_hashes(self._defaults)
         self._columns: dict[tuple[str, ...] | None, _Columns] = {}
-        # per key tuple of a configuration given to _fit: the keys it returns
-        self._fit_keys: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     # -- public API ------------------------------------------------------
     @property
@@ -272,16 +270,12 @@ class SimulatedCluster:
         keys over the Table 2 defaults with the optional memory slabs scaled
         into the container, and the feasible ``spark.executor.instances``
         range ``lo..hi``."""
-        keys = tuple(conf)
-        fit_keys = self._fit_keys.get(keys)
-        if fit_keys is None:  # the caller's keys and _ADJUSTED, in Table 2 order
-            given = set(keys) | _ADJUSTED
-            fit_keys = self._fit_keys[keys] = tuple(k for k in {**self._defaults, **conf} if k in given)
         get = self._get
         overhead_mb, offheap_mb, lo, hi = self._fit_values(
             [get(conf, name) for name in _RESOURCES], self._instance_bounds(space)
         )
-        conf = dict(conf) if fit_keys == keys else {k: get(conf, k) for k in fit_keys}
+        # the caller's keys and _ADJUSTED, in Table 2 order
+        conf = {k: v for k, v in {**self._defaults, **conf}.items() if k in conf or k in _ADJUSTED}
         if overhead_mb is not None:
             conf[_OVERHEAD] = overhead_mb
         if offheap_mb is not None:

@@ -52,12 +52,6 @@ class ConfigParam:
         if self.kind != "bool" and not self.lo < self.hi:
             raise ValueError(f"empty range for {self.name}: [{self.lo}, {self.hi}]")
 
-    def normalize(self, value) -> float:
-        """Map a parameter value into [0, 1]."""
-        if self.kind == "bool":
-            return 1.0 if value else 0.0
-        return float((float(value) - self.lo) / (self.hi - self.lo))
-
     def denormalize(self, u: float):
         """Map a unit-interval coordinate back to a legal parameter value."""
         u = min(1.0, max(0.0, float(u)))
@@ -147,11 +141,11 @@ class ConfigSpace:
     consumes) or as normalized ``np.ndarray`` in ``[0, 1]^d`` (what the
     GP / KPCA / BO math consumes).
 
-    The conversions work on whole arrays with the per-parameter bounds
-    computed once, and give the same bits and Python types as the
-    :class:`ConfigParam` methods one parameter at a time: NumPy applies only
-    operations that are exact on every host (``+ - * /``, ``rint``,
-    comparisons, ``where``), in the scalar methods' order.
+    Dicts are built by the :class:`ConfigParam` methods, one value at a
+    time. Matrices are built by array operations with the per-parameter
+    bounds computed once, and hold the same bits as those methods give: NumPy
+    applies only operations that are exact on every host (``+ - * /``,
+    ``rint``, comparisons, ``where``), in the scalar methods' order.
     """
 
     params: Sequence[ConfigParam]
@@ -198,35 +192,22 @@ class ConfigSpace:
         return dict(self._defaults)
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`ConfigParam.normalize` of every value of the (n, d) float
-        rows ``X``, one column per parameter in order."""
+        """Map every value of the (n, d) float rows ``X`` into [0, 1], one
+        column per parameter in order: ``(v − lo) / (hi − lo)``, and 1.0 or
+        0.0 for a boolean by its truth."""
         Y = (X - self._lo) / self._span
         Y[:, self._bool] = X.take(self._bool, axis=1) != 0.0
         return Y
-
-    def _clamp_scale(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows ``U`` clamped into the unit cube, and ``lo + u·(hi − lo)``
-        of them: the first steps of :meth:`ConfigParam.denormalize`."""
-        # min(1.0, max(0.0, u)) on a Python float sends NaN and -0.0 to 0.0;
-        # np.clip would keep them
-        U = np.minimum(np.where(U > 0.0, U, 0.0), 1.0)
-        return U, self._lo + U * self._span
-
-    def _denormalize(self, U: np.ndarray) -> list[dict]:
-        """:meth:`ConfigParam.denormalize` of every value of the rows ``U``:
-        one configuration per row, of Python ints, floats and bools."""
-        U, X = self._clamp_scale(U)
-        out = X.astype(object)
-        out[:, self._int] = np.rint(X.take(self._int, axis=1)).astype(np.int64)
-        out[:, self._bool] = U.take(self._bool, axis=1) >= 0.5
-        return [dict(zip(self._index, row)) for row in out.tolist()]
 
     def values(self, U: np.ndarray) -> np.ndarray:
         """The values of the configurations :meth:`from_vector` gives the
         unit rows ``U``, as an (n, d) float array with booleans as 1.0 and
         0.0: what :meth:`matrix` reads from those dicts, without building
         them."""
-        U, X = self._clamp_scale(U)
+        # min(1.0, max(0.0, u)) on a Python float sends NaN and -0.0 to 0.0;
+        # np.clip would keep them
+        U = np.minimum(np.where(U > 0.0, U, 0.0), 1.0)
+        X = self._lo + U * self._span
         X[:, self._int] = np.rint(X.take(self._int, axis=1))
         X[:, self._bool] = U.take(self._bool, axis=1) >= 0.5
         return X
@@ -242,7 +223,7 @@ class ConfigSpace:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {u.shape}")
-        return self._denormalize(u[None, :])[0]
+        return {p.name: p.denormalize(x) for p, x in zip(self.params, u.tolist())}
 
     def matrix(self, confs: Iterable[dict]) -> np.ndarray:
         """Stack configurations into an (n, d) normalized matrix."""
@@ -253,13 +234,13 @@ class ConfigSpace:
     def sample_random(self, rng: np.random.Generator) -> dict:
         """A uniform random configuration: one ``rng.random(dim)`` draw, the
         same stream as :meth:`ConfigParam.sample` of each parameter in turn."""
-        return self._denormalize(rng.random((1, self.dim)))[0]
+        return self.from_vector(rng.random(self.dim))
 
     def sample_lhs(self, n: int, rng: np.random.Generator) -> list[dict]:
         """Latin-Hypercube sample of ``n`` configurations (BO start points)."""
         from repro.core.lhs import latin_hypercube
 
-        return self._denormalize(latin_hypercube(n, self.dim, rng))
+        return [self.from_vector(u) for u in latin_hypercube(n, self.dim, rng)]
 
     # -- derived spaces --------------------------------------------------
     def subspace(self, names: Sequence[str]) -> "ConfigSpace":

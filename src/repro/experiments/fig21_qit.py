@@ -22,7 +22,7 @@ import pandas as pd
 
 from repro.core.iicp import N_IICP, cps
 from repro.core.qcsa import N_QCSA, qcsa_from_runs
-from repro.experiments.common import CAMPAIGN_SEED, EXEC_SEED, SOTA, cluster_for, make_tuner, space_for
+from repro.experiments.common import CAMPAIGN_SEED, EXEC_SEED, SOTA, cluster_for, make_tuner, run_campaign, space_for
 from repro.execmodel.sim_exec import make_executor
 
 __all__ = ["PAPER", "run"]
@@ -45,14 +45,16 @@ _VARIANTS = ("APT", "IICP", "QCSA", "QIT")
 def _graft_run(tuner_name: str, variant: str) -> tuple[float, float]:
     """The noise-free full-application time of the tuned configuration and
     the charged seconds, including the shared bootstrap."""
-    space = space_for("arm")
-    ex = make_executor("TPC-DS", cluster_for("arm"), seed=EXEC_SEED)
     use_qcsa = variant in ("QCSA", "QIT")
     use_iicp = variant in ("IICP", "QIT")
     if tuner_name == "DAGP":
-        tuner = make_tuner("LOCAT", space, CAMPAIGN_SEED, use_qcsa=use_qcsa, use_iicp=use_iicp)
-        res = tuner.tune(ex, _DS_GB)
+        # only the reductions the variant turns off, so QIT and QCSA are
+        # Figure 15's IP and AP campaigns
+        off = {k: False for k, on in (("use_qcsa", use_qcsa), ("use_iicp", use_iicp)) if not on}
+        res, _ = run_campaign("LOCAT", "TPC-DS", "arm", _DS_GB, **off)
         return res.best_time, res.opt_seconds
+    space = space_for("arm")
+    ex = make_executor("TPC-DS", cluster_for("arm"), seed=EXEC_SEED)
     queries = None
     sub = space
     if use_qcsa or use_iicp:

@@ -204,6 +204,35 @@ class TestSimulator:
         for _ in range(25):
             assert sim.is_feasible(sim.sample_feasible(ARM, rng))
 
+    @staticmethod
+    def _items(conf):
+        return [(k, type(v).__name__, v) for k, v in conf.items()]
+
+    def test_repair_returns_table2_order_from_any_key_order(self):
+        sim = self._sim()
+        rng = np.random.default_rng(4)
+        big = ARM.complete({"spark.executor.memory": 32, "spark.executor.memoryOverhead": 32768,
+                            "spark.memory.offHeap.enabled": True, "spark.memory.offHeap.size": 32768})
+        for conf in [big] + [ARM.sample_random(rng) for _ in range(20)]:
+            want = sim.repair(conf, ARM)
+            got = sim.repair(dict(reversed(conf.items())), ARM)
+            assert list(want) == ARM.names
+            assert self._items(got) == self._items(want)
+
+    def test_repair_of_a_subspace_conf_adds_the_adjusted_keys(self):
+        sim = self._sim()
+        adjusted = {"spark.executor.instances", "spark.executor.memoryOverhead", "spark.memory.offHeap.size"}
+        sub = ARM.subspace(["spark.sql.shuffle.partitions", "spark.executor.cores", "spark.executor.memory",
+                            "spark.memory.offHeap.enabled", "spark.rdd.compress"])
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            conf = sub.sample_random(rng)
+            want = [k for k in ARM.names if k in conf or k in adjusted]
+            for given in (conf, dict(reversed(conf.items()))):
+                got = sim.repair(given, sub)
+                assert list(got) == want
+                assert all(got[k] == v for k, v in conf.items())
+
     def test_sample_feasible_on_subspace_clamps_default_without_a_draw(self):
         sim = self._sim()
         name = "spark.executor.instances"
